@@ -7,9 +7,12 @@ raveled vectors. All randomness comes from numpy's PCG64 generator
 (points, options) pair always produces bitwise-identical labels regardless of
 how restarts are scheduled.
 
-Ties in assignment go to the lowest centroid index. An empty cluster is
-reseeded with the point farthest from that cluster's current centroid, which
-keeps exactly k representatives alive.
+Assignment runs in row chunks under a fixed scratch budget, so its memory
+stays bounded whatever n and k are. Ties in assignment go to the lowest
+centroid index. An empty cluster is reseeded with the point farthest from
+that cluster's current centroid, which keeps exactly k representatives
+alive. A descent stops when its labels repeat those of one or two iterations
+earlier, or after max_iterations.
 """
 
 from __future__ import annotations
@@ -55,11 +58,25 @@ class ClusterResult:
         return self.centroids.shape[0]
 
 
-def _squared_distances(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    p2 = np.einsum("ij,ij->i", points, points)
-    c2 = np.einsum("ij,ij->i", centroids, centroids)
-    d2 = p2[:, None] - 2.0 * (points @ centroids.T) + c2[None, :]
-    return np.maximum(d2, 0.0)
+# float64 scratch per assignment chunk: bounds the n x k score block
+_CHUNK_BYTES = 2 << 20
+
+
+def _assign(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
+    """Index of each point's nearest centroid, lowest index on ties.
+
+    Takes the argmin of 0.5*||c||^2 - p.c, which ranks centroids like
+    ||p - c||^2, over row chunks whose score block fits in _CHUNK_BYTES.
+    """
+    half_c2 = 0.5 * np.einsum("ij,ij->i", centroids, centroids)
+    rows = max(1, _CHUNK_BYTES // (8 * len(centroids)))
+    labels = np.empty(len(points), dtype=np.int64)
+    for start in range(0, len(points), rows):
+        scores = points[start:start + rows] @ centroids.T
+        np.subtract(half_c2, scores, out=scores)
+        labels[start:start + rows] = scores.argmin(axis=1)
+    return labels
+
 
 def _label_sums(points: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
     n, dim = points.shape
@@ -84,36 +101,32 @@ def _lloyd(
     points: np.ndarray, centroids: np.ndarray, max_iterations: int
 ) -> tuple[np.ndarray, np.ndarray, float, list[float]]:
     k = centroids.shape[0]
-    centroids = centroids.copy()
-    prev_labels: np.ndarray | None = None
+    recent: list[np.ndarray] = []  # labels of the last two iterations
     history: list[float] = []
     labels = np.zeros(len(points), dtype=np.int64)
     sse = float("inf")
     for _ in range(max_iterations):
-        d2 = _squared_distances(points, centroids)
-        labels = d2.argmin(axis=1)
-        repaired = False
+        labels = _assign(points, centroids)
         counts = np.bincount(labels, minlength=k)
         for j in np.flatnonzero(counts == 0):
             # farthest point from the empty cluster's current centroid;
             # stable sort keeps the lowest index on ties
-            for p in np.argsort(-d2[:, j], kind="stable"):
+            d2 = ((points - centroids[j]) ** 2).sum(axis=1)
+            for p in np.argsort(-d2, kind="stable"):
                 if counts[labels[p]] > 1:
                     counts[labels[p]] -= 1
                     labels[p] = j
                     counts[j] = 1
-                    centroids[j] = points[p]
-                    repaired = True
                     break
         sums = _label_sums(points, labels, k)
         centroids = sums / np.maximum(counts, 1)[:, None]
         sse = float(((points - centroids[labels]) ** 2).sum())
         history.append(sse)
-        if not repaired and prev_labels is not None and np.array_equal(
-            labels, prev_labels
-        ):
+        # centroids are a function of the labels, so labels seen one or two
+        # iterations ago mean a fixed point or a period-2 cycle: stop
+        if any(np.array_equal(labels, old) for old in recent):
             break
-        prev_labels = labels
+        recent = [labels] + recent[:1]
     return labels, centroids, sse, history
 
 

@@ -14,8 +14,10 @@ types 1..4**k in address order.
 
 Encoding clusters the actual level-(n0+1) blocks with k-means, then at every
 deeper level splits the V cluster representatives into their 4V quadrant
-children and clusters those, down to and including the single-pixel level,
-whose 4V children are stored as their cluster's value rounded to 0..255.
+children and clusters those. At the single-pixel level the 4V children are
+scalars: for V < 256 they are clustered too and each is stored as its
+cluster's value rounded to 0..255; for V >= 256 each child is rounded to
+0..255 directly, since a uint8 table holds at most 256 <= V gray levels.
 Decoding is pure label propagation and touches each pixel once.
 """
 
@@ -191,12 +193,15 @@ def encode(
         level_labels.append(result.labels.astype(np.int32))
         reps = result.centroids
 
-    # single-pixel level: children are scalars; each is stored as its
-    # cluster's value so the decoded image keeps at most V gray levels
-    leaf_points = _representative_children(reps)
-    result = cluster(leaf_points, depth)
-    quantized = result.centroids[result.labels - 1, 0]
-    leaf_values = np.clip(np.rint(quantized), 0, 255).astype(np.uint8)
+    # single-pixel level: children are scalars. At V >= 256 each is rounded
+    # straight to 0..255, which already leaves at most 256 <= V gray levels;
+    # below that each is stored as its cluster's value so the decoded image
+    # keeps at most V gray levels
+    leaf = _representative_children(reps)[:, 0]
+    if v < 256:
+        result = cluster(leaf[:, None], depth)
+        leaf = result.centroids[result.labels - 1, 0]
+    leaf_values = np.clip(np.rint(leaf), 0, 255).astype(np.uint8)
 
     return VVarCode(depth, v, first_labels, level_labels, leaf_values)
 

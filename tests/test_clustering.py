@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from vvcodec import clustering
 from vvcodec.clustering import ClusterOptions, ClusterResult, canonicalize_labels, kmeans
 
 
@@ -99,6 +100,14 @@ class TestKmeans:
         res = kmeans(pts, ClusterOptions(k=3, seed=0))
         assert res.sse == 0.0
 
+    def test_period_two_cycle_ends(self):
+        # duplicate initial centroids leave an empty cluster whose repair
+        # flips labels between two equal-SSE states on every iteration
+        pts = np.repeat(np.arange(8.0), 4)[:, None]
+        opts = ClusterOptions(k=8, seed=0, restarts=1)
+        res = kmeans(pts, opts)
+        assert len(res.sse_history) < opts.max_iterations
+
     def test_k_larger_than_points(self):
         with pytest.raises(ValueError):
             kmeans(np.zeros((2, 1)), ClusterOptions(k=3))
@@ -155,3 +164,39 @@ class TestCanonicalize:
         assert res.labels.tolist() == [1, 1]
         assert sorted(res.centroids.ravel().tolist()) == [0.0, 10.0, 20.0]
         assert res.centroids[0, 0] == 10.0
+
+
+def brute_force_assign(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
+    """Nearest centroid by the full distance matrix; argmin keeps the lowest
+    index on ties."""
+    return ((points[:, None, :] - centroids[None, :, :]) ** 2).sum(-1).argmin(1)
+
+
+class TestAssign:
+    def test_random_floats(self):
+        rng = np.random.default_rng(12)
+        pts = rng.random((500, 7))
+        cents = rng.random((40, 7))
+        assert np.array_equal(
+            clustering._assign(pts, cents), brute_force_assign(pts, cents)
+        )
+
+    def test_ties_go_to_lowest_index(self):
+        rng = np.random.default_rng(13)
+        pts = rng.integers(0, 4, (300, 2)).astype(np.float64)
+        # duplicated centroids that coincide with many points
+        cents = pts[rng.integers(0, 300, 12)]
+        cents = np.concatenate([cents, cents[::-1]])
+        got = clustering._assign(pts, cents)
+        assert np.array_equal(got, brute_force_assign(pts, cents))
+        assert (got < 12).all()
+
+    @pytest.mark.parametrize("rows", [1, 3])
+    def test_chunk_boundaries(self, monkeypatch, rows):
+        rng = np.random.default_rng(14)
+        pts = rng.integers(0, 6, (10, 3)).astype(np.float64)
+        cents = rng.integers(0, 6, (5, 3)).astype(np.float64)
+        monkeypatch.setattr(clustering, "_CHUNK_BYTES", rows * 8 * len(cents))
+        assert np.array_equal(
+            clustering._assign(pts, cents), brute_force_assign(pts, cents)
+        )

@@ -5,7 +5,7 @@ import pytest
 
 from conftest import DEMO_ADDRESS, random_vvar_code
 from vvcodec import metrics, vvar
-from vvcodec.clustering import ClusterOptions, kmeans
+from vvcodec.clustering import ClusterOptions, canonicalize_labels, kmeans
 from vvcodec.imaging import FormatError, PixelImage
 
 
@@ -80,6 +80,42 @@ class TestEncodeDecode:
             initial_centroids=np.vstack([small.centroids, extra]),
         )
         assert seeded.sse <= small.sse * (1 + 1e-12) + 1e-9
+
+
+class TestLeafLevel:
+    @pytest.fixture
+    def recorded(self, monkeypatch):
+        """Point dims of every kmeans call and the last canonical result."""
+        calls = {"dims": [], "last": None}
+
+        def counting_kmeans(points, opts, **kwargs):
+            calls["dims"].append(points.shape[1])
+            return kmeans(points, opts, **kwargs)
+
+        def keeping_canonicalize(result):
+            calls["last"] = canonicalize_labels(result)
+            return calls["last"]
+
+        monkeypatch.setattr(vvar, "kmeans", counting_kmeans)
+        monkeypatch.setattr(vvar, "canonicalize_labels", keeping_canonicalize)
+        return calls
+
+    @pytest.fixture
+    def image(self):
+        rng = np.random.default_rng(15)
+        return PixelImage(rng.integers(0, 256, (64, 64)))
+
+    def test_v256_rounds_leaf_children(self, recorded, image):
+        code = vvar.encode(image, 256, restarts=1)
+        assert recorded["dims"] == [4]  # level 5 only, no leaf kmeans call
+        children = vvar._representative_children(recorded["last"].centroids)
+        want = np.clip(np.rint(children[:, 0]), 0, 255).astype(np.uint8)
+        assert np.array_equal(code.leaf_values, want)
+
+    def test_v255_clusters_leaf(self, recorded, image):
+        code = vvar.encode(image, 255, restarts=1)
+        assert recorded["dims"] == [16, 4, 1]  # levels 4 and 5, then the leaf
+        assert len(np.unique(code.leaf_values)) <= 255
 
 
 class TestDemoMatrix:
