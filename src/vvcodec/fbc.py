@@ -6,6 +6,9 @@ over all large (domain) blocks, with the least-squares alpha clamped to
 and beta re-fit after alpha quantization, rounded to an integer in -255..255.
 Decoding iterates the block transform from a flat start image. No block
 isometries are used; a code entry is (large block index, q_alpha, q_beta).
+The encoder's domain search works through tiles of whole rows of the
+(small block, large block) error matrix, in five scratch buffers of at most
+_TILE_CELLS float64 cells each, so its memory does not grow with the image.
 """
 
 from __future__ import annotations
@@ -15,11 +18,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bitpack import BitReader, BitWriter
-from .imaging import FormatError, PixelImage
+from .imaging import FormatError, PixelImage, downsample2x
 
 ALPHA_BITS = 4
 BETA_BITS = 9
 _VAR_EPS = 1e-6  # guards alpha against roundoff on constant domain blocks
+# q * _ALPHA_STEP - 1 equals alpha_value(q) bit for bit on the 16 levels
+_ALPHA_STEP = 1.0 / 7.5
+_TILE_CELLS = 1 << 15  # float64 cells per search buffer: 256 KiB, fits in L2
 
 MAGIC = b"FBC1"
 VERSION = 1
@@ -114,15 +120,6 @@ def _grid_blocks(plane: np.ndarray, size: int) -> np.ndarray:
     )
 
 
-def _downsample_plane(plane: np.ndarray) -> np.ndarray:
-    return 0.25 * (
-        plane[0::2, 0::2]
-        + plane[0::2, 1::2]
-        + plane[1::2, 0::2]
-        + plane[1::2, 1::2]
-    )
-
-
 def fbc_encode(img: PixelImage, params: FbcParams) -> FbcCode:
     """Find the best (large block, alpha, beta) triple for every small block.
 
@@ -135,41 +132,72 @@ def fbc_encode(img: PixelImage, params: FbcParams) -> FbcCode:
     n = s * s
     plane = img.data.astype(np.float64)
     small = _grid_blocks(plane, s)
-    large = _grid_blocks(_downsample_plane(plane), s)
+    large = _grid_blocks(downsample2x(plane), s)
 
     sum_s = small.sum(axis=1)
     sum_s2 = np.einsum("ij,ij->i", small, small)
     sum_l = large.sum(axis=1)
     sum_l2 = np.einsum("ij,ij->i", large, large)
     var_l = sum_l2 - sum_l * sum_l / n  # n * variance
+    mean_s = sum_s / n
+    mean_l = sum_l / n
+    two_sum_s = 2.0 * sum_s  # 2 * b * sum_s is an exact integer either way
+    # flat domains get alpha = cov / inf = +-0, which quantizes like alpha = 0
+    var_div = np.where(var_l > _VAR_EPS, var_l, np.inf)
 
     n_small = small.shape[0]
     n_large = large.shape[0]
+    large_t = np.ascontiguousarray(large.T)
     entries = np.empty((n_small, 3), dtype=np.int32)
-    batch = max(1, (1 << 22) // max(1, n_large))
-    for start in range(0, n_small, batch):
-        stop = min(start + batch, n_small)
-        sb = small[start:stop]
-        cross = sb @ large.T  # (b, n_large)
-        cov = cross - np.outer(sum_s[start:stop], sum_l) / n
-        alpha = np.where(var_l > _VAR_EPS, cov / np.maximum(var_l, _VAR_EPS), 0.0)
-        q_alpha = quantize_alpha(alpha)
-        aq = alpha_value(q_alpha)
-        beta = sum_s[start:stop, None] / n - aq * (sum_l[None, :] / n)
-        b_int = np.clip(np.rint(beta), -255, 255)
-        err = (
-            sum_s2[start:stop, None]
-            + aq * aq * sum_l2[None, :]
-            + n * b_int * b_int
-            - 2.0 * aq * cross
-            - 2.0 * b_int * sum_s[start:stop, None]
-            + 2.0 * aq * b_int * sum_l[None, :]
-        )
+    rows = min(n_small, max(1, _TILE_CELLS // n_large))
+    cross, aq, b_int, err, tmp = np.empty((5, rows, n_large))
+    for start in range(0, n_small, rows):
+        stop = min(start + rows, n_small)
+        r = stop - start
+        if r < rows:
+            cross, aq, b_int, err, tmp = (
+                buf[:r] for buf in (cross, aq, b_int, err, tmp)
+            )
+        ms = mean_s[start:stop, None]
+        np.matmul(small[start:stop], large_t, out=cross)
+        # alpha = (cross - outer(sum_s, sum_l) / n) / var, quantized to aq;
+        # n is a power of two, so outer(sum_s / n, sum_l) has the same bits
+        np.multiply(ms, sum_l, out=aq)
+        np.subtract(cross, aq, out=aq)
+        aq /= var_div
+        np.clip(aq, -1.0, 1.0, out=aq)
+        aq += 1.0
+        aq *= 7.5
+        np.rint(aq, out=aq)
+        aq *= _ALPHA_STEP
+        aq -= 1.0
+        # beta = sum_s / n - aq * (sum_l / n), rounded and clamped
+        np.multiply(aq, mean_l, out=b_int)
+        np.subtract(ms, b_int, out=b_int)
+        np.rint(b_int, out=b_int)
+        # pixels are 0..255 and |aq| <= 1, so beta >= -255 already
+        np.minimum(b_int, 255.0, out=b_int)
+        # err = sum_s2 + aq*aq*sum_l2 + n*b*b - 2*aq*cross - 2*b*sum_s
+        #       + 2*aq*b*sum_l, summed left to right; aq becomes 2 * aq
+        np.multiply(aq, aq, out=err)
+        err *= sum_l2
+        err += sum_s2[start:stop, None]
+        np.multiply(b_int, n, out=tmp)
+        tmp *= b_int
+        err += tmp
+        aq *= 2.0
+        cross *= aq
+        err -= cross
+        np.multiply(b_int, two_sum_s[start:stop, None], out=tmp)
+        err -= tmp
+        np.multiply(aq, b_int, out=tmp)
+        tmp *= sum_l
+        err += tmp
         best = err.argmin(axis=1)
-        rows = np.arange(stop - start)
+        at = np.arange(r), best
         entries[start:stop, 0] = best
-        entries[start:stop, 1] = q_alpha[rows, best]
-        entries[start:stop, 2] = b_int[rows, best].astype(np.int64) + 255
+        entries[start:stop, 1] = np.rint((aq[at] / 2.0 + 1.0) * 7.5)
+        entries[start:stop, 2] = b_int[at] + 255.0
     return FbcCode(img.depth, s, entries)
 
 
@@ -182,7 +210,7 @@ def apply_block_transform(code: FbcCode, plane: np.ndarray) -> np.ndarray:
     idx = code.entries[:, 0]
     alpha = alpha_value(code.entries[:, 1])
     beta = code.entries[:, 2].astype(np.float64) - 255.0
-    domains = _grid_blocks(_downsample_plane(plane), s)
+    domains = _grid_blocks(downsample2x(plane), s)
     blocks = alpha[:, None] * domains[idx] + beta[:, None]
     return (
         blocks.reshape(gs, gs, s, s).transpose(0, 2, 1, 3).reshape(side, side)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -59,6 +61,13 @@ class TestQuantizer:
         levels = fbc.alpha_value(np.arange(16))
         assert np.allclose(np.diff(levels), 2 / 15)
 
+    def test_search_step_matches_alpha_value_bit_for_bit(self):
+        # the encoder's search multiplies by the step instead of dividing
+        q = np.arange(16, dtype=np.float64)
+        searched = q * fbc._ALPHA_STEP - 1.0
+        expected = fbc.alpha_value(q)
+        assert np.array_equal(searched.view(np.int64), expected.view(np.int64))
+
 
 class TestEncode:
     def test_constant_image_entries(self):
@@ -106,6 +115,34 @@ class TestEncode:
         expected = brute_force_best(img, 2)
         for entry, (err, li, qa, qb) in zip(code.entries, expected):
             assert (entry[0], entry[1], entry[2]) == (li, qa, qb)
+
+    @pytest.mark.parametrize("flat_corner", [False, True])
+    @pytest.mark.parametrize("rows", [1, 3])
+    def test_matches_brute_force_across_tiles(self, monkeypatch, rows, flat_corner):
+        # 3 rows do not divide the 64 small blocks; a constant corner makes
+        # four flat domain blocks (alpha 0) in every tile, the partial one too
+        img = natural_image(13, 16)
+        if flat_corner:
+            plane = img.data.copy()
+            plane[:8, :8] = 100
+            img = PixelImage(plane)
+        n_large = (16 // 4) ** 2
+        monkeypatch.setattr(fbc, "_TILE_CELLS", rows * n_large)
+        code = fbc.fbc_encode(img, fbc.FbcParams(2))
+        expected = brute_force_best(img, 2)
+        got = [tuple(int(v) for v in entry) for entry in code.entries]
+        assert got == [(li, qa, qb) for _, li, qa, qb in expected]
+
+    def test_search_scratch_memory_is_bounded(self):
+        # 4096 x 1024 (small, large) pairs: 32 MiB per full error matrix
+        img = natural_image(41, 128)
+        tracemalloc.start()
+        try:
+            fbc.fbc_encode(img, fbc.FbcParams(2))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2 ** 20
 
     def test_geometry_mismatch(self):
         img = PixelImage.constant(0, depth=2)

@@ -18,8 +18,16 @@ VV_DIGESTS = {
     256: "5f0d15969d302d05a9e1ae4bb8a133f84c4ddf7b407ceae0f885483e5e0d59b5",
     1024: "dcd053d989e5ab76ba5c26d400f2b90fcc4ceaa7ee688851215aaaee2ca06c9d",
 }
-# SHA-256 of fbc.serialize(fbc.fbc_encode(image A, FbcParams(8)))
-FBC_S8_DIGEST = "9805145a9f0665a893d3ec5a2f4b28c7b02edeb0eeb8520a51536cd1d88ee54f"
+# SHA-256 of fbc.serialize(fbc.fbc_encode(image, FbcParams(s))), keyed by
+# (image name, small size s)
+FBC_DIGESTS = {
+    ("a", 4): "4b8984424bb663a48773279ae209a301cd683d41f6233254215003647f5fa18e",
+    ("a", 8): "9805145a9f0665a893d3ec5a2f4b28c7b02edeb0eeb8520a51536cd1d88ee54f",
+    ("a", 16): "373ef919daa9ccc16abdc261b0cfb26586b31b628ec96a9f522b2ec6bf8bf042",
+    ("b", 4): "4e5e3c4b85f293a122c7b468600ae5f3b695dfd5fb4f5cdaaa73ec7bbb05d50e",
+    ("b", 8): "0e0c74fcf6ef174bf2c851633ef9319ba6aafae903504094983eb04cbfb17c39",
+    ("b", 16): "8c2e53ba4c66c1c5b96784e2b28b54737df3c1f990c91403a8bb0c87dc39efbe",
+}
 
 TESTS_DIR = Path(__file__).resolve().parent
 
@@ -34,19 +42,30 @@ def test_vvc1_digest(vv_codes, v):
     assert sha256(vvar.serialize(code)) == VV_DIGESTS[v]
 
 
-def test_fbc1_digest(fbc_codes):
-    code, _ = fbc_codes[("a", 8)]
-    assert sha256(fbc.serialize(code)) == FBC_S8_DIGEST
+def test_fbc1_digest(fbc_codes, image_a, image_b):
+    images = {"a": image_a, "b": image_b}
+    got = {}
+    for key in FBC_DIGESTS:
+        name, s = key
+        if key in fbc_codes:
+            code, _ = fbc_codes[key]
+        else:  # s=4 is not in the fixture: criterion 8 decodes all its entries
+            code = fbc.fbc_encode(images[name], fbc.FbcParams(s))
+        got[key] = sha256(fbc.serialize(code))
+    assert got == FBC_DIGESTS
 
 
 def test_digest_independent_of_blas_threads():
-    """A single-threaded BLAS gives the same V=1024 stream as the pinned one."""
+    """A single-threaded BLAS gives the same V=1024 and FBC s=4 streams as the
+    pinned ones."""
     script = (
         "import hashlib\n"
-        "from conftest import ENCODE_OPTS, make_image_a\n"
-        "from vvcodec import vvar\n"
+        "from conftest import ENCODE_OPTS, make_image_a, make_image_b\n"
+        "from vvcodec import fbc, vvar\n"
         "code = vvar.encode(make_image_a(), 1024, **ENCODE_OPTS)\n"
         "print(hashlib.sha256(vvar.serialize(code)).hexdigest())\n"
+        "code = fbc.fbc_encode(make_image_b(), fbc.FbcParams(4))\n"
+        "print(hashlib.sha256(fbc.serialize(code)).hexdigest())\n"
     )
     path = os.pathsep.join(
         [str(TESTS_DIR.parent / "src"), str(TESTS_DIR), os.environ.get("PYTHONPATH", "")]
@@ -57,4 +76,4 @@ def test_digest_independent_of_blas_threads():
         timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == VV_DIGESTS[1024]
+    assert proc.stdout.split() == [VV_DIGESTS[1024], FBC_DIGESTS[("b", 4)]]
