@@ -9,7 +9,7 @@ failing command never leaves a partial file behind. Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
-import math
+import functools
 import os
 import sys
 import tempfile
@@ -30,10 +30,6 @@ class _UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str) -> None:  # type: ignore[override]
         raise _UsageError(message)
-
-
-def _fmt(x: float) -> str:
-    return "inf" if math.isinf(x) else f"{x:.4f}"
 
 
 def _write_atomic(path: str, data: bytes) -> None:
@@ -67,10 +63,7 @@ def cmd_vv_encode(args: argparse.Namespace) -> int:
     report = metrics.quality_report(
         img, vvar.decode(code), len(blob) - vvar.HEADER_BYTES
     )
-    print(
-        f"{report.payload_bytes},{_fmt(report.psnr_db)},"
-        f"{_fmt(report.compression_ratio)}"
-    )
+    print(report.rate_row())
     return 0
 
 
@@ -92,10 +85,7 @@ def cmd_fbc(args: argparse.Namespace) -> int:
         _write_atomic(args.output, fbc.serialize(code))
         payload = (fbc.fbc_payload_bits(code) + 7) // 8
         report = metrics.quality_report(img, fbc.fbc_decode(code, params), payload)
-        print(
-            f"{report.payload_bytes},{_fmt(report.psnr_db)},"
-            f"{_fmt(report.compression_ratio)}"
-        )
+        print(report.rate_row())
         return 0
     if data[:4] == fbc.MAGIC:
         code = fbc.deserialize(data)
@@ -113,7 +103,7 @@ def cmd_fbc(args: argparse.Namespace) -> int:
 def cmd_psnr(args: argparse.Namespace) -> int:
     a = _load_image(args.a)
     b = _load_image(args.b)
-    print(f"{_fmt(metrics.mse(a, b))},{_fmt(metrics.psnr(a, b))}")
+    print(f"{metrics.fmt(metrics.mse(a, b))},{metrics.fmt(metrics.psnr(a, b))}")
     return 0
 
 
@@ -127,10 +117,7 @@ def cmd_table(args: argparse.Namespace) -> int:
         report = metrics.quality_report(
             img, vvar.decode(code), vvar.payload_size(v, img.depth)
         )
-        print(
-            f"{v},{report.payload_bytes},{_fmt(report.psnr_db)},"
-            f"{_fmt(report.compression_ratio)}"
-        )
+        print(f"{v},{report.rate_row()}")
     return 0
 
 
@@ -170,7 +157,9 @@ def cmd_fractal(args: argparse.Namespace) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The CLI parser, built once per process: parse_args leaves it as it was."""
     parser = _Parser(prog="vvcodec", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bitpack import BitReader, BitWriter
+from .bitpack import pack, unpack
 from .imaging import FormatError, PixelImage, downsample2x
 
 ALPHA_BITS = 4
@@ -265,13 +265,8 @@ def serialize(code: FbcCode) -> bytes:
     if code.small_size > 255:
         raise ValueError("FBC1 stores the small block size in one byte")
     header = MAGIC + bytes([VERSION, code.depth, code.small_size])
-    ibits = index_bits(code.n_large)
-    writer = BitWriter()
-    for large_index, q_alpha, q_beta in code.entries:
-        writer.write(int(large_index), ibits)
-        writer.write(int(q_alpha), ALPHA_BITS)
-        writer.write(int(q_beta), BETA_BITS)
-    return header + writer.getvalue()
+    widths = [index_bits(code.n_large), ALPHA_BITS, BETA_BITS]
+    return header + pack(code.entries, widths)
 
 
 def deserialize(data: bytes) -> FbcCode:
@@ -293,16 +288,9 @@ def deserialize(data: bytes) -> FbcCode:
     expected = HEADER_BYTES + (n_small * (ibits + ALPHA_BITS + BETA_BITS) + 7) // 8
     if len(data) != expected:
         raise FormatError(f"stream has {len(data)} bytes, expected {expected}")
-    reader = BitReader(data[HEADER_BYTES:])
-    entries = np.empty((n_small, 3), dtype=np.int32)
-    for i in range(n_small):
-        large_index = reader.read(ibits)
-        q_alpha = reader.read(ALPHA_BITS)
-        q_beta = reader.read(BETA_BITS)
-        if large_index >= n_large:
-            raise FormatError("large block index out of range")
-        if q_beta > 510:
-            raise FormatError("quantized beta out of range 0..510")
-        entries[i] = (large_index, q_alpha, q_beta)
-    reader.align_checked()
-    return FbcCode(depth, s, entries)
+    entries, _ = unpack(data[HEADER_BYTES:], n_small, [ibits, ALPHA_BITS, BETA_BITS])
+    if (entries[:, 0] >= n_large).any():
+        raise FormatError("large block index out of range")
+    if (entries[:, 2] > 510).any():
+        raise FormatError("quantized beta out of range 0..510")
+    return FbcCode(depth, s, entries.astype(np.int32))

@@ -42,12 +42,20 @@ class QualityReport:
 
     def csv_row(self) -> str:
         return (
-            f"{_fmt(self.mse)},{_fmt(self.psnr_db)},"
-            f"{self.payload_bytes},{_fmt(self.compression_ratio)}"
+            f"{fmt(self.mse)},{fmt(self.psnr_db)},"
+            f"{self.payload_bytes},{fmt(self.compression_ratio)}"
+        )
+
+    def rate_row(self) -> str:
+        """The row the CLI prints: payload_bytes,psnr_db,compression_ratio."""
+        return (
+            f"{self.payload_bytes},{fmt(self.psnr_db)},"
+            f"{fmt(self.compression_ratio)}"
         )
 
 
-def _fmt(x: float) -> str:
+def fmt(x: float) -> str:
+    """A CSV number: four decimals, or "inf"."""
     return "inf" if math.isinf(x) else f"{x:.4f}"
 
 

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bitpack import BitReader, BitWriter
+from .bitpack import pack, unpack
 from .clustering import ClusterOptions, canonicalize_labels, kmeans
 from .imaging import FormatError, PixelImage, QuadAddress, blocks_at_level
 
@@ -210,34 +210,44 @@ def _level_table(code: VVarCode, level: int) -> np.ndarray:
     """Label table for one level, indexed by 4*(parent_type-1) + digit-1."""
     n0 = code.n0
     if 1 <= level <= n0:
-        return np.arange(1, 4 ** level + 1, dtype=np.int64)  # trivial coding
+        return np.arange(1, 4 ** level + 1, dtype=np.int32)  # trivial coding
     if level == n0 + 1:
-        return np.asarray(code.first_labels, dtype=np.int64)
+        return np.asarray(code.first_labels, dtype=np.int32)
     if level < code.depth:
-        return np.asarray(code.level_labels[level - (n0 + 2)], dtype=np.int64)
+        return np.asarray(code.level_labels[level - (n0 + 2)], dtype=np.int32)
     raise ValueError(f"no label table for level {level}")
 
 
+# quadrant digit - 1 of each cell of a 2x2 child block, top row first:
+# digit 2 top-left, 4 top-right, 1 bottom-left, 3 bottom-right
+_CELL_DIGITS = np.array([[1, 3], [0, 2]])
+
+
 def _expand_types(grid: np.ndarray, table: np.ndarray) -> np.ndarray:
-    """One quadtree expansion step: parent types -> child values via table."""
+    """One quadtree expansion step: parent types -> child values via table.
+
+    grid holds types in 1..V and table has 4V entries. The child grid, of
+    twice the side, takes table's dtype; each parent's top and bottom child
+    pairs are gathered as one 2-wide item each.
+    """
     side = grid.shape[0]
-    idx = 4 * (grid - 1)
-    out = np.empty((2 * side, 2 * side), dtype=table.dtype)
-    out[1::2, 0::2] = table[idx]      # digit 1 bottom-left
-    out[0::2, 0::2] = table[idx + 1]  # digit 2 top-left
-    out[1::2, 1::2] = table[idx + 2]  # digit 3 bottom-right
-    out[0::2, 1::2] = table[idx + 3]  # digit 4 top-right
-    return out
+    # cells[half, t] is the top (half 0) or bottom child pair of type t; the
+    # zero row t = 0 lets types index the table without subtracting 1
+    cells = np.zeros((2, len(table) // 4 + 1, 2), dtype=table.dtype)
+    cells[:, 1:] = table.reshape(-1, 4)[:, _CELL_DIGITS].swapaxes(0, 1)
+    out = np.empty((side, 2, side, 2), dtype=table.dtype)
+    for half in (0, 1):
+        np.take(cells[half], grid, axis=0, out=out[:, half])
+    return out.reshape(2 * side, 2 * side)
 
 
 def decode(code: VVarCode) -> PixelImage:
     """Reconstruct the full image by label propagation."""
     code.validate()
-    grid = np.ones((1, 1), dtype=np.int64)
+    grid = np.ones((1, 1), dtype=np.int32)
     for level in range(1, code.depth):
         grid = _expand_types(grid, _level_table(code, level))
-    pixels = _expand_types(grid, np.asarray(code.leaf_values, dtype=np.int64))
-    return PixelImage(pixels.astype(np.uint8))
+    return PixelImage(_expand_types(grid, np.asarray(code.leaf_values, np.uint8)))
 
 
 def pixel_value(code: VVarCode, addr: QuadAddress) -> int:
@@ -293,15 +303,9 @@ def serialize(code: VVarCode) -> bytes:
     header = MAGIC + bytes([VERSION, code.depth]) + code.v.to_bytes(4, "big")
     if code.v == 1:
         return header + bytes([int(code.leaf_values[0])])
-    width = (code.v - 1).bit_length()
-    writer = BitWriter()
-    for label in code.first_labels:
-        writer.write(int(label) - 1, width)
-    for table in code.level_labels:
-        for label in table:
-            writer.write(int(label) - 1, width)
-    payload = writer.getvalue() + bytes(np.asarray(code.leaf_values, np.uint8))
-    return header + payload
+    labels = np.concatenate([code.first_labels, *code.level_labels]) - 1
+    payload = pack(labels[:, None], [(code.v - 1).bit_length()])
+    return header + payload + bytes(np.asarray(code.leaf_values, np.uint8))
 
 
 def deserialize(data: bytes) -> VVarCode:
@@ -332,22 +336,22 @@ def deserialize(data: bytes) -> VVarCode:
             level_labels=[np.ones(4, dtype=np.int32) for _ in range(depth - 2)],
             leaf_values=np.full(4, value, dtype=np.uint8),
         )
-    width = (v - 1).bit_length()
-    reader = BitReader(data[HEADER_BYTES:])
-
-    def read_labels(count: int) -> np.ndarray:
-        out = np.empty(count, dtype=np.int32)
-        for i in range(count):
-            raw = reader.read(width)
-            if raw >= v:
-                raise FormatError(f"label {raw + 1} out of range 1..{v}")
-            out[i] = raw + 1
-        return out
-
-    first_labels = read_labels(4 ** (n0 + 1))
-    level_labels = [read_labels(4 * v) for _ in range(depth - 2 - n0)]
-    reader.align_checked()
-    leaf_start = HEADER_BYTES + reader.bytes_consumed()
+    first_count = 4 ** (n0 + 1)
+    raw, used = unpack(
+        data[HEADER_BYTES:], first_count + 4 * v * (depth - 2 - n0),
+        [(v - 1).bit_length()],
+    )
+    labels = raw[:, 0]
+    bad = np.flatnonzero(labels >= v)
+    if bad.size:
+        raise FormatError(f"label {labels[bad[0]] + 1} out of range 1..{v}")
+    labels = (labels + 1).astype(np.int32)
+    first_labels = labels[:first_count]
+    level_labels = [
+        labels[start:start + 4 * v]
+        for start in range(first_count, len(labels), 4 * v)
+    ]
+    leaf_start = HEADER_BYTES + used
     leaf_values = np.frombuffer(
         data[leaf_start:leaf_start + 4 * v], dtype=np.uint8
     ).copy()

@@ -80,12 +80,15 @@ def make_image_b() -> PixelImage:
     return PixelImage.from_real(base)
 
 
-def random_vvar_code(rng: np.random.Generator, v: int | None = None) -> vvar.VVarCode:
-    """A structurally valid random code with bounded depth."""
+def random_vvar_code(
+    rng: np.random.Generator, v: int | None = None, depth: int | None = None
+) -> vvar.VVarCode:
+    """A structurally valid random code with bounded (or the given) depth."""
     if v is None:
         v = int(rng.integers(1, 1024))
     n0 = vvar.compute_n0(v, vvar.MAX_DEPTH)
-    depth = int(rng.integers(n0 + 2, min(9, n0 + 4) + 1))
+    if depth is None:
+        depth = int(rng.integers(n0 + 2, min(9, n0 + 4) + 1))
     if v == 1:
         value = int(rng.integers(0, 256))
         return vvar.VVarCode(

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import DEMO_ADDRESS, DEMO_MATRIX
-from vvcodec import cli, load_pgm, save_pgm, vvar
+from vvcodec import cli, fbc, load_pgm, save_pgm, vvar
 from vvcodec.imaging import PixelImage
 
 
@@ -29,6 +29,40 @@ def run_cli(capsys, *argv):
     status = cli.main([str(a) for a in argv])
     out = capsys.readouterr()
     return status, out.out, out.err
+
+
+class TestParser:
+    def test_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_repeated_calls_keep_each_subcommand_defaults(
+        self, capsys, monkeypatch, small_image_path, image_a_path, tmp_path
+    ):
+        seen = []
+
+        def fake_encode(img, v, *, seed, restarts):
+            seen.append((seed, restarts))
+            raise ValueError("stop")
+
+        def fake_params(small, iters):
+            seen.append(iters)
+            raise ValueError("stop")
+
+        monkeypatch.setattr(vvar, "encode", fake_encode)
+        monkeypatch.setattr(fbc, "FbcParams", fake_params)
+        out = tmp_path / "o"
+        calls = [
+            ("vv-encode", small_image_path, out, "--v", 4, "--seed", 7,
+             "--restarts", 2),
+            ("table", image_a_path),
+            ("vv-encode", small_image_path, out, "--v", 4),
+            ("table", image_a_path, "--seed", 3),
+            ("fbc", small_image_path, out, "--small", 4, "--iters", 3),
+            ("fbc", small_image_path, out, "--small", 4),
+        ]
+        for argv in calls:
+            assert run_cli(capsys, *argv)[0] == 1
+        assert seen == [(7, 2), (0, 5), (0, 5), (3, 5), 3, 10]
 
 
 class TestVvEncodeDecode:

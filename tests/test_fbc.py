@@ -5,7 +5,7 @@ import pytest
 
 from conftest import spectral_field
 from vvcodec import fbc
-from vvcodec.bitpack import BitWriter
+from vvcodec.bitpack import pack
 from vvcodec.imaging import FormatError, PixelImage
 
 
@@ -264,12 +264,10 @@ class TestSerialization:
             fbc.deserialize(blob[:-1])
 
     def test_invalid_beta_rejected(self):
-        # craft a stream whose first beta field is 511
+        # craft a stream whose beta fields are 511; a 4x4 image at s=2 has
+        # a single large block, so the index field takes zero bits
         header = fbc.MAGIC + bytes([fbc.VERSION, 2, 2])
-        writer = BitWriter()
-        for _ in range(4):
-            writer.write(0, 0)  # single large block: zero index bits
-            writer.write(0, fbc.ALPHA_BITS)
-            writer.write(511, fbc.BETA_BITS)
+        fields = np.tile([0, 0, 511], (4, 1))
+        payload = pack(fields, [0, fbc.ALPHA_BITS, fbc.BETA_BITS])
         with pytest.raises(FormatError):
-            fbc.deserialize(header + writer.getvalue())
+            fbc.deserialize(header + payload)

@@ -172,6 +172,21 @@ class TestPixelValue:
                     col = 2 * col + (0, 0, 1, 1)[d - 1]
                 assert vvar.pixel_value(code, addr) == img.data[row, col]
 
+    @pytest.mark.parametrize("v", [4, 64, 1024])
+    def test_matches_decode_at_depth_9(self, v):
+        # decode's expansion against the independent walker at full depth
+        rng = np.random.default_rng(v)
+        code = random_vvar_code(rng, v=v, depth=9)
+        img = vvar.decode(code)
+        assert img.data.dtype == np.uint8
+        for addr in rng.integers(1, 5, size=(500, 9)):
+            row = col = 0
+            for d in addr:
+                row = 2 * row + (1, 0, 1, 0)[d - 1]
+                col = 2 * col + (0, 0, 1, 1)[d - 1]
+            addr = tuple(int(d) for d in addr)
+            assert vvar.pixel_value(code, addr) == img.data[row, col]
+
 
 class TestPayloadSize:
     @pytest.mark.parametrize(
