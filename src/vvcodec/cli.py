@@ -148,6 +148,7 @@ def cmd_fractal(args: argparse.Namespace) -> int:
     else:
         if args.v is None or args.v < 1:
             raise _UsageError("--v must be >= 1 (or use --matrix)")
+        vvar.compute_n0(args.v, args.depth)  # before the skeleton is allocated
         skeleton = fractalgen.random_skeleton(args.v, 4, args.depth, args.seed)
         values = np.random.default_rng([args.seed & ((1 << 64) - 1), 1]).integers(
             0, 256, size=args.v

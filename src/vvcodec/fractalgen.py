@@ -230,32 +230,12 @@ def random_skeleton(v: int, m: int, depth: int, seed: int) -> SkeletonMatrix:
     return SkeletonMatrix(v=v, m=m, entries=entries)
 
 
-def _propagate_types_grid(s: SkeletonMatrix, depth: int) -> np.ndarray:
-    """Spatial 2**depth x 2**depth grid of node types at level `depth`."""
-    if s.m != 4:
-        raise ValueError("square rendering needs a 4-map skeleton")
-    if s.depth < depth:
-        raise ValueError(f"skeleton depth {s.depth} < requested depth {depth}")
-    grid = np.full((1, 1), s.root_type, dtype=np.int64)
-    for k in range(depth):
-        grid = vvar._expand_types(grid, s.entries[:, k])
-        if (grid == 0).any():
-            raise ValueError(f"unused skeleton entry read in column {k + 1}")
-    return grid
-
-
 def render_vvariable_square(
     s: SkeletonMatrix, values: np.ndarray, depth: int
 ) -> PixelImage:
     """Colour the unit square by type: each level-`depth` cell (one pixel)
     takes the gray value of its type."""
-    values = np.asarray(values, dtype=np.int64)
-    if values.shape != (s.v,):
-        raise ValueError(f"need one gray value per type, got {values.shape}")
-    if values.min() < 0 or values.max() > 255:
-        raise ValueError("gray values must lie in 0..255")
-    grid = _propagate_types_grid(s, depth)
-    return PixelImage(values[grid - 1].astype(np.uint8))
+    return vvar.decode(skeleton_to_code(s, values, depth))
 
 
 def skeleton_to_code(
@@ -263,26 +243,37 @@ def skeleton_to_code(
 ) -> vvar.VVarCode:
     """Translate a skeleton + per-type gray values into a decoder code.
 
-    The rendered square of `render_vvariable_square` and the decoded image of
-    the returned code are pixel-identical: skeleton types double as cluster
-    labels, and unreachable table slots are filled with 1.
+    Skeleton types double as cluster labels, and unreachable table slots are
+    filled with 1. A 0 on a slot that propagation from the root reaches
+    within `depth` columns raises ValueError naming the column, as do gray
+    values outside 0..255 and a (V, depth) pair the codec cannot hold.
     """
+    values = np.asarray(values, dtype=np.int64)
+    if values.shape != (s.v,):
+        raise ValueError(f"need one gray value per type, got {values.shape}")
+    if values.min() < 0 or values.max() > 255:
+        raise ValueError("gray values must lie in 0..255")
     if s.m != 4:
         raise ValueError("square coding needs a 4-map skeleton")
     if s.depth < depth:
         raise ValueError(f"skeleton depth {s.depth} < requested depth {depth}")
-    values = np.asarray(values, dtype=np.int64)
-    if values.shape != (s.v,):
-        raise ValueError(f"need one gray value per type, got {values.shape}")
     n0 = vvar.compute_n0(s.v, depth)
 
-    # types of level-(n0+1) nodes in address-lexicographic order
-    types = np.array([s.root_type], dtype=np.int64)
-    for k in range(n0 + 1):
+    def child_types(types: np.ndarray, k: int) -> np.ndarray:
         rows = (types - 1)[:, None] * 4 + np.arange(4)
-        types = s.entries[rows, k].ravel()
-        if (types == 0).any():
+        children = s.entries[rows, k].ravel()
+        if (children == 0).any():
             raise ValueError(f"unused skeleton entry read in column {k + 1}")
+        return children
+
+    # types of level-(n0+1) nodes in address-lexicographic order
+    first = np.array([s.root_type], dtype=np.int64)
+    for k in range(n0 + 1):
+        first = child_types(first, k)
+    # deeper levels only need the set of types that occur
+    reached = first
+    for k in range(n0 + 1, depth):
+        reached = child_types(np.unique(reached), k)
 
     def table(k: int) -> np.ndarray:
         column = s.entries[:, k].copy()
@@ -293,7 +284,7 @@ def skeleton_to_code(
     return vvar.VVarCode(
         depth=depth,
         v=s.v,
-        first_labels=types.astype(np.int32),
+        first_labels=first.astype(np.int32),
         level_labels=[table(k) for k in range(n0 + 1, depth - 1)],
         leaf_values=values[leaf_column - 1].astype(np.uint8),
     )

@@ -1,4 +1,5 @@
-"""Grayscale image primitives: PGM I/O, quadrant addressing, block arithmetic.
+"""Grayscale image primitives: PGM I/O, quadrant addressing, block arithmetic,
+quadtree expansion.
 
 Images are square with side 2**depth and 8-bit gray values stored row-major,
 row 0 at the top. Quadrant digits 1..4 follow the unit-square convention with
@@ -6,8 +7,9 @@ y pointing up, so with screen coordinates:
 
     1 = bottom-left   2 = top-left   3 = bottom-right   4 = top-right
 
-("bottom" means larger row indices). Every module in this package shares this
-single digit mapping.
+("bottom" means larger row indices). This module is the only one that knows
+the mapping: the others split blocks and expand quadtrees through
+split_quadrants, blocks_at_level and expand_types.
 
 Intermediate block values are real-valued float64 arrays; rounding and
 clamping to 0..255 happens only when a PixelImage is produced.
@@ -166,38 +168,21 @@ def extract_block(img: PixelImage, addr: QuadAddress) -> np.ndarray:
     return img.data[row:row + side, col:col + side].astype(np.float64)
 
 
-def split_quadrants(block: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Split a block into its four quadrants in digit order 1..4."""
-    block = np.asarray(block, dtype=np.float64)
-    side = block.shape[0]
-    if block.ndim != 2 or block.shape[1] != side:
+def split_quadrants(blocks: np.ndarray) -> np.ndarray:
+    """Split each square block into its four quadrants in digit order 1..4.
+
+    Maps shape (..., side, side) to (..., 4, side/2, side/2), keeping the
+    dtype.
+    """
+    blocks = np.asarray(blocks)
+    side = blocks.shape[-1]
+    if blocks.ndim < 2 or blocks.shape[-2] != side:
         raise ValueError("block must be square")
     if side < 2 or side % 2:
         raise ValueError(f"cannot split a block of side {side}")
     h = side // 2
-    return (
-        block[h:, :h].copy(),  # 1 bottom-left
-        block[:h, :h].copy(),  # 2 top-left
-        block[h:, h:].copy(),  # 3 bottom-right
-        block[:h, h:].copy(),  # 4 top-right
-    )
-
-
-def tile_blocks(children: tuple[np.ndarray, ...]) -> np.ndarray:
-    """Inverse of split_quadrants: assemble four equal-sided quadrants."""
-    if len(children) != 4:
-        raise ValueError("need exactly four quadrants")
-    q1, q2, q3, q4 = (np.asarray(c, dtype=np.float64) for c in children)
-    h = q1.shape[0]
-    for q in (q1, q2, q3, q4):
-        if q.shape != (h, h):
-            raise ValueError("quadrants must all be square with equal side")
-    out = np.empty((2 * h, 2 * h), dtype=np.float64)
-    out[h:, :h] = q1
-    out[:h, :h] = q2
-    out[h:, h:] = q3
-    out[:h, h:] = q4
-    return out
+    halves = blocks.reshape(*blocks.shape[:-2], 2, h, 2, h).swapaxes(-3, -2)
+    return halves[..., _DIGIT_ROW, _DIGIT_COL, :, :]
 
 
 def downsample2x(block: np.ndarray) -> np.ndarray:
@@ -216,33 +201,32 @@ def downsample2x(block: np.ndarray) -> np.ndarray:
     )
 
 
-def address_grid_coords(level: int) -> tuple[np.ndarray, np.ndarray]:
-    """Grid (row, col) of every level-`level` block, in address-lexicographic
-    order.
-
-    Returns two int arrays of length 4**level; entry p gives the position of
-    the block whose address is the p-th element of {1,2,3,4}**level in
-    lexicographic order, within the 2**level x 2**level block grid.
-    """
-    if level < 0:
-        raise ValueError("level must be >= 0")
-    rows = np.zeros(1, dtype=np.int64)
-    cols = np.zeros(1, dtype=np.int64)
-    row_off = np.array(_DIGIT_ROW, dtype=np.int64)
-    col_off = np.array(_DIGIT_COL, dtype=np.int64)
-    for _ in range(level):
-        rows = (2 * rows[:, None] + row_off).ravel()
-        cols = (2 * cols[:, None] + col_off).ravel()
-    return rows, cols
-
-
 def blocks_at_level(img: PixelImage, level: int) -> np.ndarray:
     """All level-`level` blocks as a (4**level, block_pixels) float matrix,
     rows in address-lexicographic order."""
     if not 0 <= level <= img.depth:
         raise ValueError(f"level {level} out of range 0..{img.depth}")
-    g = 2 ** level
-    b = img.side // g
-    grid = img.data.reshape(g, b, g, b).transpose(0, 2, 1, 3)
-    rows, cols = address_grid_coords(level)
-    return grid[rows, cols].reshape(4 ** level, b * b).astype(np.float64)
+    blocks = img.data
+    for _ in range(level):
+        blocks = split_quadrants(blocks)
+    return blocks.reshape(4 ** level, -1).astype(np.float64)
+
+
+def expand_types(grid: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """One quadtree expansion step: parent types -> child values via table.
+
+    grid holds types in 1..V and table has 4V entries, entry 4(t-1)+d-1
+    giving the value of child digit d of a type-t parent. The child grid, of
+    twice the side, takes table's dtype; each parent's top and bottom child
+    pairs are gathered as one 2-wide item each.
+    """
+    side = grid.shape[0]
+    # cells[half, t] is the top (half 0) or bottom child pair of type t; the
+    # zero row t = 0 lets types index the table without subtracting 1; digit
+    # d of type t sits at cells[_DIGIT_ROW[d-1], t, _DIGIT_COL[d-1]]
+    cells =np.zeros((2, len(table) // 4 + 1, 2), dtype=table.dtype)
+    cells[_DIGIT_ROW, 1:, _DIGIT_COL] = table.reshape(-1, 4).T
+    out = np.empty((side, 2, side, 2), dtype=table.dtype)
+    for half in (0, 1):
+        np.take(cells[half], grid, axis=0, out=out[:, half])
+    return out.reshape(2 * side, 2 * side)

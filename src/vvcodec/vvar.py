@@ -30,7 +30,14 @@ import numpy as np
 
 from .bitpack import pack, unpack
 from .clustering import ClusterOptions, canonicalize_labels, kmeans
-from .imaging import FormatError, PixelImage, QuadAddress, blocks_at_level
+from .imaging import (
+    FormatError,
+    PixelImage,
+    QuadAddress,
+    blocks_at_level,
+    expand_types,
+    split_quadrants,
+)
 
 MIN_DEPTH = 2
 MAX_DEPTH = 12
@@ -115,28 +122,6 @@ class VVarCode:
         )
 
 
-def _representative_children(reps: np.ndarray) -> np.ndarray:
-    """Quadrant-split each representative row vector.
-
-    reps has shape (V, side*side); the result has shape (4V, side*side/4)
-    with row 4L+i-1 holding child digit i of representative L+1.
-    """
-    v = reps.shape[0]
-    side = int(math.isqrt(reps.shape[1]))
-    h = side // 2
-    grids = reps.reshape(v, side, side)
-    quads = np.stack(
-        (
-            grids[:, h:, :h],  # digit 1 bottom-left
-            grids[:, :h, :h],  # digit 2 top-left
-            grids[:, h:, h:],  # digit 3 bottom-right
-            grids[:, :h, h:],  # digit 4 top-right
-        ),
-        axis=1,
-    )
-    return quads.reshape(4 * v, h * h)
-
-
 def _distinct_rows(points: np.ndarray, k: int) -> np.ndarray:
     """First k distinct rows in input order, cycled if fewer exist."""
     seen: dict[bytes, None] = {}
@@ -187,9 +172,14 @@ def encode(
     first_labels = first.labels.astype(np.int32)
     reps = first.centroids
 
+    def children(reps: np.ndarray) -> np.ndarray:
+        # row 4(L-1)+d-1 holds child digit d of representative L
+        side = math.isqrt(reps.shape[1])
+        return split_quadrants(reps.reshape(v, side, side)).reshape(4 * v, -1)
+
     level_labels: list[np.ndarray] = []
     for level in range(n0 + 2, depth):
-        result = cluster(_representative_children(reps), level)
+        result = cluster(children(reps), level)
         level_labels.append(result.labels.astype(np.int32))
         reps = result.centroids
 
@@ -197,7 +187,7 @@ def encode(
     # straight to 0..255, which already leaves at most 256 <= V gray levels;
     # below that each is stored as its cluster's value so the decoded image
     # keeps at most V gray levels
-    leaf = _representative_children(reps)[:, 0]
+    leaf = children(reps)[:, 0]
     if v < 256:
         result = cluster(leaf[:, None], depth)
         leaf = result.centroids[result.labels - 1, 0]
@@ -218,36 +208,13 @@ def _level_table(code: VVarCode, level: int) -> np.ndarray:
     raise ValueError(f"no label table for level {level}")
 
 
-# quadrant digit - 1 of each cell of a 2x2 child block, top row first:
-# digit 2 top-left, 4 top-right, 1 bottom-left, 3 bottom-right
-_CELL_DIGITS = np.array([[1, 3], [0, 2]])
-
-
-def _expand_types(grid: np.ndarray, table: np.ndarray) -> np.ndarray:
-    """One quadtree expansion step: parent types -> child values via table.
-
-    grid holds types in 1..V and table has 4V entries. The child grid, of
-    twice the side, takes table's dtype; each parent's top and bottom child
-    pairs are gathered as one 2-wide item each.
-    """
-    side = grid.shape[0]
-    # cells[half, t] is the top (half 0) or bottom child pair of type t; the
-    # zero row t = 0 lets types index the table without subtracting 1
-    cells = np.zeros((2, len(table) // 4 + 1, 2), dtype=table.dtype)
-    cells[:, 1:] = table.reshape(-1, 4)[:, _CELL_DIGITS].swapaxes(0, 1)
-    out = np.empty((side, 2, side, 2), dtype=table.dtype)
-    for half in (0, 1):
-        np.take(cells[half], grid, axis=0, out=out[:, half])
-    return out.reshape(2 * side, 2 * side)
-
-
 def decode(code: VVarCode) -> PixelImage:
     """Reconstruct the full image by label propagation."""
     code.validate()
     grid = np.ones((1, 1), dtype=np.int32)
     for level in range(1, code.depth):
-        grid = _expand_types(grid, _level_table(code, level))
-    return PixelImage(_expand_types(grid, np.asarray(code.leaf_values, np.uint8)))
+        grid = expand_types(grid, _level_table(code, level))
+    return PixelImage(expand_types(grid, np.asarray(code.leaf_values, np.uint8)))
 
 
 def pixel_value(code: VVarCode, addr: QuadAddress) -> int:
@@ -362,14 +329,7 @@ def deserialize(data: bytes) -> VVarCode:
 
 def distinct_block_count(img: PixelImage, level: int) -> int:
     """Number of distinct level-`level` blocks under exact pixel equality."""
-    if not 0 <= level <= img.depth:
-        raise ValueError(f"level {level} out of range 0..{img.depth}")
-    g = 2 ** level
-    b = img.side // g
-    blocks = (
-        img.data.reshape(g, b, g, b).transpose(0, 2, 1, 3).reshape(g * g, b * b)
-    )
-    return len(np.unique(blocks, axis=0))
+    return len(np.unique(blocks_at_level(img, level), axis=0))
 
 
 def code_from_matrix(matrix: np.ndarray) -> VVarCode:

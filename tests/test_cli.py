@@ -240,6 +240,26 @@ class TestFractalCommand:
         status, _, _ = run_cli(capsys, "fractal", "vsquare", tmp_path / "x.pgm")
         assert status == 1
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--v", 2, "--depth", 13],
+            ["--v", 16, "--depth", 2],
+            ["--v", 1000000000, "--depth", 9],
+            ["--v", 1, "--depth", 1],
+        ],
+    )
+    def test_vsquare_refuses_codec_range(self, capsys, tmp_path, monkeypatch, argv):
+        # refused before the 4V x depth skeleton is allocated
+        def no_skeleton(*args):
+            raise AssertionError("random_skeleton called")
+
+        monkeypatch.setattr(cli.fractalgen, "random_skeleton", no_skeleton)
+        out_pgm = tmp_path / "sq.pgm"
+        status, out, err = run_cli(capsys, "fractal", "vsquare", out_pgm, *argv)
+        assert status == 1 and out == "" and "out of range" in err
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestTableCommand:
     def test_published_payload_column(self, capsys, image_a_path):

@@ -1,4 +1,5 @@
-"""Property tests: corrupt VVC1 and FBC1 streams only ever raise FormatError."""
+"""Property tests: corrupt PGM, VVC1 and FBC1 streams only ever raise
+FormatError."""
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 from conftest import random_vvar_code
 from vvcodec import fbc, vvar
 from vvcodec.bitpack import pack
-from vvcodec.imaging import FormatError, PixelImage
+from vvcodec.imaging import FormatError, PixelImage, load_pgm, save_pgm
 
 # derandomized, so every run tries the same examples; no example database
 FUZZ = settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -29,8 +30,16 @@ def _fbc_streams() -> list[bytes]:
     return out
 
 
+def _pgm_streams() -> list[bytes]:
+    rng = np.random.default_rng(2)
+    out = [save_pgm(PixelImage(rng.integers(0, 256, (s, s)))) for s in (1, 2, 4, 8)]
+    out.append(b"P5 # comment\n2 2 # size\n255\n" + bytes([1, 2, 3, 4]))
+    return out
+
+
 VV_STREAMS = _vv_streams()
 FBC_STREAMS = _fbc_streams()
+PGM_STREAMS = _pgm_streams()
 
 
 @st.composite
@@ -120,3 +129,20 @@ def test_fbc1_planted_beta_rejected(blob, data):
     widths = [fbc.index_bits(code.n_large), fbc.ALPHA_BITS, fbc.BETA_BITS]
     with pytest.raises(FormatError, match="beta"):
         fbc.deserialize(blob[:fbc.HEADER_BYTES] + pack(entries, widths))
+
+
+@FUZZ
+@given(byte_mutations(PGM_STREAMS))
+def test_pgm_mutation_raises_only_format_error(blob):
+    try:
+        img = load_pgm(blob)
+    except FormatError:
+        return
+    assert load_pgm(save_pgm(img)) == img
+
+
+@FUZZ
+@given(resized(PGM_STREAMS))
+def test_pgm_wrong_length_rejected(blob):
+    with pytest.raises(FormatError):
+        load_pgm(blob)

@@ -183,6 +183,29 @@ class TestRandomSkeleton:
         assert chi2 < 16.27  # chi-square df=3 at p=0.001
 
 
+def walk_pixels(skeleton, values, depth):
+    """Per-pixel oracle for typed squares: walk each address from the root.
+
+    Returns the image as an int array and the first column in which some
+    walk reads a 0 slot (None if no walk does).
+    """
+    side = 2 ** depth
+    img = np.zeros((side, side), dtype=np.int64)
+    zero_column = None
+    for addr in itertools.product((1, 2, 3, 4), repeat=depth):
+        node_type, row, col = skeleton.root_type, 0, 0
+        for k, digit in enumerate(addr):
+            node_type = int(skeleton.entries[4 * (node_type - 1) + digit - 1, k])
+            if node_type == 0:
+                zero_column = min(zero_column or k + 1, k + 1)
+                break
+            row = 2 * row + (1, 0, 1, 0)[digit - 1]
+            col = 2 * col + (0, 0, 1, 1)[digit - 1]
+        else:
+            img[row, col] = values[node_type - 1]
+    return img, zero_column
+
+
 class TestRenderSquare:
     def test_single_type_constant(self):
         skeleton = fg.random_skeleton(1, 4, 5, seed=0)
@@ -209,14 +232,62 @@ class TestRenderSquare:
             col = 2 * col + (0, 0, 1, 1)[d - 1]
         assert img.data[row, col] == 138
 
-    def test_render_matches_translated_code(self):
+    def test_render_matches_pixel_walker(self):
         rng = np.random.default_rng(1)
-        for v in (1, 2, 5, 16):
-            skeleton = fg.random_skeleton(v, 4, 6, seed=int(rng.integers(1e9)))
+        for v, depth in ((1, 2), (3, 2), (2, 3), (15, 3), (5, 4), (16, 5), (200, 5)):
+            skeleton = fg.random_skeleton(v, 4, depth, seed=int(rng.integers(1e9)))
+            skeleton.root_type = int(rng.integers(1, v + 1))
             values = rng.integers(0, 256, v)
-            rendered = fg.render_vvariable_square(skeleton, values, 6)
-            translated = fg.skeleton_to_code(skeleton, values, 6)
-            assert vvar.decode(translated) == rendered
+            want, zero_column = walk_pixels(skeleton, values, depth)
+            assert zero_column is None
+            assert np.array_equal(
+                fg.render_vvariable_square(skeleton, values, depth).data, want
+            )
+
+    def test_zero_slots_match_pixel_walker(self):
+        # a 0 on a slot that some pixel's walk reads raises and names the
+        # first such column; zeros no walk reads leave the render unchanged
+        rng = np.random.default_rng(2)
+        outcomes = {"raised": 0, "rendered": 0}
+        for _ in range(60):
+            depth = int(rng.integers(2, 6))
+            v = int(rng.integers(2, min(4 ** (depth - 1), 40)))
+            entries = rng.integers(1, v + 1, (4 * v, depth))
+            # a few types left unused so that some zeros are unreachable
+            entries = np.minimum(entries, int(rng.integers(1, v + 1)))
+            for _ in range(int(rng.integers(1, 4))):
+                entries[rng.integers(4 * v), rng.integers(depth)] = 0
+            skeleton = fg.SkeletonMatrix(v=v, m=4, entries=entries)
+            values = rng.integers(0, 256, v)
+            want, zero_column = walk_pixels(skeleton, values, depth)
+            if zero_column is None:
+                outcomes["rendered"] += 1
+                img = fg.render_vvariable_square(skeleton, values, depth)
+                assert np.array_equal(img.data, want)
+            else:
+                outcomes["raised"] += 1
+                with pytest.raises(
+                    ValueError,
+                    match=f"unused skeleton entry read in column {zero_column}$",
+                ):
+                    fg.render_vvariable_square(skeleton, values, depth)
+        assert min(outcomes.values()) >= 10
+
+    @pytest.mark.parametrize("gray", [300, -1])
+    def test_gray_values_out_of_range(self, gray):
+        skeleton = fg.random_skeleton(2, 4, 4, seed=0)
+        for build in (fg.render_vvariable_square, fg.skeleton_to_code):
+            with pytest.raises(ValueError, match="gray values"):
+                build(skeleton, [0, gray], 4)
+
+    def test_codec_range_enforced(self):
+        # depth 1, and V >= 4**(depth-1), have no VVC1 code
+        with pytest.raises(ValueError, match="depth 1"):
+            fg.render_vvariable_square(fg.random_skeleton(1, 4, 1, 0), [9], 1)
+        with pytest.raises(ValueError, match="V=16"):
+            fg.render_vvariable_square(
+                fg.random_skeleton(16, 4, 2, 0), np.zeros(16, int), 2
+            )
 
     def test_distinct_blocks_bounded(self):
         skeleton = fg.random_skeleton(3, 4, 6, seed=9)

@@ -4,14 +4,12 @@ import pytest
 from vvcodec.imaging import (
     FormatError,
     PixelImage,
-    address_grid_coords,
     blocks_at_level,
     downsample2x,
     extract_block,
     load_pgm,
     save_pgm,
     split_quadrants,
-    tile_blocks,
 )
 
 # Unit-square quadrant maps: digit d shrinks by 1/2 and shifts by OFFSETS[d-1]
@@ -141,20 +139,17 @@ class TestExtractBlock:
             assert count == img.side ** 2
             assert total == img.data.sum()
 
-    def test_address_grid_coords_cover_grid(self):
-        rows, cols = address_grid_coords(3)
-        assert sorted(zip(rows.tolist(), cols.tolist())) == [
-            (r, c) for r in range(8) for c in range(8)
-        ]
-
     def test_blocks_at_level_order(self):
         rng = np.random.default_rng(4)
-        img = PixelImage(rng.integers(0, 256, (8, 8)))
-        blocks = blocks_at_level(img, 2)
-        for pos, addr in enumerate(_all_addresses(2)):
-            assert np.array_equal(
-                blocks[pos], extract_block(img, addr).ravel()
-            )
+        img = PixelImage(rng.integers(0, 256, (16, 16)))
+        for level in range(5):
+            blocks = blocks_at_level(img, level)
+            assert blocks.dtype == np.float64
+            assert blocks.shape == (4 ** level, 4 ** (4 - level))
+            for pos, addr in enumerate(_all_addresses(level)):
+                assert np.array_equal(
+                    blocks[pos], extract_block(img, addr).ravel()
+                )
 
 
 def _all_addresses(level):
@@ -178,21 +173,21 @@ class TestSplitTile:
             expected.append(block[row, col])
         assert [p[0, 0] for p in parts] == expected == [3.0, 1.0, 4.0, 2.0]
 
-    def test_split_tile_inverse(self):
+    @pytest.mark.parametrize("dtype", [np.float64, np.uint8])
+    def test_batch_matches_per_block_quadrants(self, dtype):
         rng = np.random.default_rng(5)
-        block = rng.random((8, 8))
-        assert np.array_equal(tile_blocks(split_quadrants(block)), block)
-        parts = split_quadrants(block)
-        for got, want in zip(split_quadrants(tile_blocks(parts)), parts):
-            assert np.array_equal(got, want)
+        stack = rng.integers(0, 256, (3, 5, 8, 8)).astype(dtype)
+        parts = split_quadrants(stack)
+        assert parts.shape == (3, 5, 4, 4, 4) and parts.dtype == dtype
+        for i, j in np.ndindex(3, 5):
+            for digit in (1, 2, 3, 4):
+                row, col = quadrant_cell(digit)
+                want = stack[i, j, 4 * row:4 * row + 4, 4 * col:4 * col + 4]
+                assert np.array_equal(parts[i, j, digit - 1], want)
 
     def test_split_side_one(self):
         with pytest.raises(ValueError):
             split_quadrants(np.ones((1, 1)))
-
-    def test_tile_mismatch(self):
-        with pytest.raises(ValueError):
-            tile_blocks((np.ones((2, 2)),) * 3 + (np.ones((4, 4)),))
 
 
 class TestDownsample:

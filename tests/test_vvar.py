@@ -6,7 +6,7 @@ import pytest
 from conftest import DEMO_ADDRESS, random_vvar_code
 from vvcodec import metrics, vvar
 from vvcodec.clustering import ClusterOptions, canonicalize_labels, kmeans
-from vvcodec.imaging import FormatError, PixelImage
+from vvcodec.imaging import FormatError, PixelImage, split_quadrants
 
 
 def all_addresses(depth):
@@ -108,8 +108,9 @@ class TestLeafLevel:
     def test_v256_rounds_leaf_children(self, recorded, image):
         code = vvar.encode(image, 256, restarts=1)
         assert recorded["dims"] == [4]  # level 5 only, no leaf kmeans call
-        children = vvar._representative_children(recorded["last"].centroids)
-        want = np.clip(np.rint(children[:, 0]), 0, 255).astype(np.uint8)
+        reps = recorded["last"].centroids.reshape(256, 2, 2)
+        children = split_quadrants(reps).ravel()  # row-major = slot order
+        want = np.clip(np.rint(children), 0, 255).astype(np.uint8)
         assert np.array_equal(code.leaf_values, want)
 
     def test_v255_clusters_leaf(self, recorded, image):
