@@ -6,9 +6,22 @@ over all large (domain) blocks, with the least-squares alpha clamped to
 and beta re-fit after alpha quantization, rounded to an integer in -255..255.
 Decoding iterates the block transform from a flat start image. No block
 isometries are used; a code entry is (large block index, q_alpha, q_beta).
-The encoder's domain search works through tiles of whole rows of the
-(small block, large block) error matrix, in five scratch buffers of at most
-_TILE_CELLS float64 cells each, so its memory does not grow with the image.
+The encoder's domain search is exact but pruned (Saupe 1995; Fisher 1995,
+ch. 3). Identical small blocks are searched once. Stage one bounds every
+(small block, large block) cell cheaply: a float32 matmul of mean-removed,
+unit-norm blocks gives their correlation rho, and whatever alpha and beta,
+the error is at least Sss * (1 - rho^2), Sss being the small block's
+centered sum of squares. For |alpha| in [1/15, 1] it is also at least
+(sd_s - |alpha| * sd_l)^2 in the blocks' root centered sums of squares, so
+a tile needs only one run of the large blocks sorted by spread; for a flat
+small block this is var_l <= 225 * ub. Each row's upper bound ub is the
+exact error of a few candidate blocks. A cell is skipped only when its lower
+bound exceeds ub plus a margin derived from the magnitudes (see
+_ERR_SLACK), so the winner and every cell tied with it survive. Stage two
+runs the exact error expressions over the union of the surviving columns
+of consecutive row tiles, in five scratch buffers of at most _TILE_CELLS
+float64 cells each, so memory does not grow with the image, and the output
+is bit for bit that of the full scan.
 """
 
 from __future__ import annotations
@@ -18,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bitpack import pack, unpack
-from .imaging import FormatError, PixelImage, downsample2x
+from .imaging import FormatError, PixelImage, downsample2x, row_keys
 
 ALPHA_BITS = 4
 BETA_BITS = 9
@@ -26,6 +39,21 @@ _VAR_EPS = 1e-6  # guards alpha against roundoff on constant domain blocks
 # q * _ALPHA_STEP - 1 equals alpha_value(q) bit for bit on the 16 levels
 _ALPHA_STEP = 1.0 / 7.5
 _TILE_CELLS = 1 << 15  # float64 cells per search buffer: 256 KiB, fits in L2
+# The search skips a cell only when a lower bound on its exact error exceeds
+# ub, the least computed error of its row's candidates, plus n * _ERR_SLACK.
+# The winner's computed error is at most ub, so it and every cell tied with
+# it survive if computed and exact errors differ by less than that margin
+# and the bounds are evaluated conservatively:
+# - err sums six terms of magnitude at most 2 * 255^2 * n (9 * 255^2 * n <
+#   2^20 * n in all), each through at most 7 roundings, so it is within
+#   7 * 2^-53 * 2^20 * n < n * 2^-30 of exact: _ERR_SLACK leaves 4x headroom;
+# - cross is exact; Sss and the spreads are within (n + 2) float64 ulps of
+#   exact and |alpha_q| >= (1 - 2^-50) / 15, all far inside _REL_SLACK for
+#   any n <= 2^24;
+# - _rho2_slack(n) bounds the float32 rounding of rho^2.
+# A wider margin only costs survivors; a narrower one could change output.
+_ERR_SLACK = 2.0 ** -28
+_REL_SLACK = 2.0 ** -20
 
 MAGIC = b"FBC1"
 VERSION = 1
@@ -120,6 +148,219 @@ def _grid_blocks(plane: np.ndarray, size: int) -> np.ndarray:
     )
 
 
+def _collage_errors(cross, row_consts, col_consts, n, aq, b_int, err, tmp) -> None:
+    """The quantized fit and its squared error for a block of cells.
+
+    `cross` holds sum(SB * LB) for each cell; `row_consts` = (mean_s,
+    sum_s2, 2 * sum_s) and `col_consts` = (sum_l, mean_l, sum_l2, var_div)
+    broadcast against it. Fills aq with 2 * alpha_q, b_int with beta_q and
+    err with the error, and overwrites cross. Elementwise IEEE operations on
+    the same operand values give the same bits in any layout, so any subset
+    of cells gets the bits the full error matrix would hold.
+    """
+    ms, sum_s2, two_sum_s = row_consts
+    sum_l, mean_l, sum_l2, var_div = col_consts
+    # alpha = (cross - outer(sum_s, sum_l) / n) / var, quantized to aq;
+    # n is a power of two, so outer(sum_s / n, sum_l) has the same bits
+    np.multiply(ms, sum_l, out=aq)
+    np.subtract(cross, aq, out=aq)
+    aq /= var_div
+    np.clip(aq, -1.0, 1.0, out=aq)
+    aq += 1.0
+    aq *= 7.5
+    np.rint(aq, out=aq)
+    aq *= _ALPHA_STEP
+    aq -= 1.0
+    # beta = sum_s / n - aq * (sum_l / n), rounded and clamped
+    np.multiply(aq, mean_l, out=b_int)
+    np.subtract(ms, b_int, out=b_int)
+    np.rint(b_int, out=b_int)
+    # pixels are 0..255 and |aq| <= 1, so beta >= -255 already
+    np.minimum(b_int, 255.0, out=b_int)
+    # err = sum_s2 + aq*aq*sum_l2 + n*b*b - 2*aq*cross - 2*b*sum_s
+    #       + 2*aq*b*sum_l, summed left to right; aq becomes 2 * aq
+    np.multiply(aq, aq, out=err)
+    err *= sum_l2
+    err += sum_s2
+    np.multiply(b_int, n, out=tmp)
+    tmp *= b_int
+    err += tmp
+    aq *= 2.0
+    cross *= aq
+    err -= cross
+    np.multiply(b_int, two_sum_s, out=tmp)
+    err -= tmp
+    np.multiply(aq, b_int, out=tmp)
+    tmp *= sum_l
+    err += tmp
+
+
+def _centered_units(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's centered sum of squares, and the centered row scaled to
+    unit norm as float32 (all zero for a flat row).
+
+    Centering is exact, since pixels and their 2x2 means are multiples of
+    1/4 and n is a power of two, and the sum of squares has no cancellation,
+    so both are within (n + 2) float64 ulps of exact before the cast.
+    """
+    centered = blocks - blocks.mean(axis=1, keepdims=True)
+    sq = np.einsum("ij,ij->i", centered, centered)
+    centered /= np.where(sq > 0.0, np.sqrt(sq), np.inf)[:, None]
+    return sq, centered.astype(np.float32)
+
+
+def _rho2_slack(n: int) -> float:
+    """A bound on |rho_hat^2 - rho^2| plus the rounding of the comparison.
+
+    The float32 unit rows are within 2 float32 ulps of exact per pixel, and
+    their float32 dot product over n pixels errs by at most gamma_n, so
+    |rho_hat - rho| <= eps = g / (1 - g) with g = (n + 5) * 2^-24, and
+    |rho_hat^2 - rho^2| <= eps * (2 + eps). 2^-22 covers the float32 square,
+    the float64 floor (error ~n * 2^-53) and its float32 cast.
+    """
+    g = (n + 5) * 2.0 ** -24
+    eps = g / (1.0 - g) if g < 1.0 else np.inf
+    return eps * (2.0 + eps) + 2.0 ** -22
+
+
+def _distinct_by_spread(pixels: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of uint8 `pixels` in order of spread, and each row's
+    place in that list.
+
+    Identical blocks have identical error rows, so each is searched once;
+    rows of alike spread share tiles, and so do their survivors.
+    """
+    _, first, inverse = np.unique(
+        row_keys(pixels), return_index=True, return_inverse=True
+    )
+    rows = pixels[first]
+    sums = rows.sum(axis=1, dtype=np.int64)
+    squares = np.einsum("ij,ij->i", rows, rows, dtype=np.int64)
+    order = np.argsort(n * squares - sums * sums, kind="stable")  # n * Sss
+    place = np.empty_like(order)
+    place[order] = np.arange(len(order))
+    return first[order], place[inverse]
+
+
+def _spread_windows(sd_small, ub, sd_large, rows) -> tuple[np.ndarray, np.ndarray]:
+    """Per tile, the run [lo, hi) of spread-ordered domains its rows can use.
+
+    For |alpha| in [1/15, 1] every error is at least (sd_s - |alpha| sd_l)^2,
+    so a row needs sd_s - sqrt(ub) <= sd_l <= 15 * (sd_s + sqrt(ub)).
+    """
+    root = np.sqrt(ub)
+    lo_sd = sd_small * (1.0 - _REL_SLACK) - root * (1.0 + _REL_SLACK)
+    hi_sd = 15.0 * (sd_small + root) * (1.0 + _REL_SLACK)
+    starts = np.arange(0, len(ub), rows)
+    lo = np.searchsorted(sd_large, np.minimum.reduceat(lo_sd, starts), "left")
+    hi = np.searchsorted(sd_large, np.maximum.reduceat(hi_sd, starts), "right")
+    return lo, hi
+
+
+def _candidates(unit_small, unit_large_t, sd_small, sd_large, rows) -> np.ndarray:
+    """Positions in spread order of each row's candidate domains, (5, n_small).
+
+    They are the most and least correlated domain overall, the same among
+    the domains with at least half the spread of the tile's widest row
+    (their slope seldom needs clamping), and the flattest domain.
+    """
+    n_small, n_large = len(unit_small), unit_large_t.shape[1]
+    rho = np.empty((rows, n_large), dtype=np.float32)
+    picks = np.empty((5, n_small), dtype=np.intp)
+    picks[4] = 0  # the flattest domain
+    for start in range(0, n_small, rows):
+        stop = min(start + rows, n_small)
+        tile_rho = rho[: stop - start]
+        np.matmul(unit_small[start:stop], unit_large_t, out=tile_rho)
+        j0 = int(np.searchsorted(sd_large, 0.5 * sd_small[stop - 1]))
+        j0 = min(j0, n_large - 1)
+        tile_rho.argmax(axis=1, out=picks[0, start:stop])
+        tile_rho.argmin(axis=1, out=picks[1, start:stop])
+        tile_rho[:, j0:].argmax(axis=1, out=picks[2, start:stop])
+        tile_rho[:, j0:].argmin(axis=1, out=picks[3, start:stop])
+        picks[2:4, start:stop] += j0
+    return picks
+
+
+def _least_errors(small, large, cand, row_consts, col_consts, n) -> np.ndarray:
+    """Each row's least computed error over its domains cand[:, row], with the
+    bits the full search gives those cells, gathering at most _TILE_CELLS
+    pixels per candidate at a time."""
+    n_small = len(small)
+    least = np.empty(n_small)
+    chunk = max(1, _TILE_CELLS // n)
+    for c0 in range(0, n_small, chunk):
+        part = slice(c0, c0 + chunk)
+        idx = cand[:, part]
+        cross, aq, b_int, err, tmp = np.empty((5, *idx.shape))
+        for k, domains in enumerate(idx):
+            # integer times quarter-integer products: exact in any order
+            np.einsum("ij,ij->i", small[part], large[domains], out=cross[k])
+        _collage_errors(
+            cross, tuple(c[part] for c in row_consts),
+            tuple(c[idx] for c in col_consts), n, aq, b_int, err, tmp,
+        )
+        err.min(axis=0, out=least[part])
+    return least
+
+
+def _survivor_groups(unit_small, unit_large_t, by_sd, lo, hi, floor, cand, rows):
+    """Yield (first row, end row, sorted domain indices) for the exact search.
+
+    Tile t keeps the domains by_sd[lo[t]:hi[t]] whose rho^2 reaches the
+    floor of one of its rows, plus its rows' candidates. Consecutive tiles
+    share one group while the group's rows times its domains fit in the
+    rows * n_large cells of the search buffers.
+    """
+    n_small, n_large = len(unit_small), len(by_sd)
+    rho = np.empty(rows * n_large, dtype=np.float32)
+    keep = np.empty(rows * n_large, dtype=bool)
+    tile_union, group, merged = np.zeros((3, n_large), dtype=bool)
+    g0 = 0
+    for t, start in enumerate(range(0, n_small, rows)):
+        stop = min(start + rows, n_small)
+        window = slice(lo[t], hi[t])
+        tile_union.fill(False)
+        if floor[start:stop].min() <= 0.0:  # a row that no rho can rule out
+            tile_union[by_sd[window]] = True
+        else:
+            r, width = stop - start, hi[t] - lo[t]
+            band = rho[: r * width].reshape(r, width)
+            np.matmul(unit_small[start:stop], unit_large_t[:, window], out=band)
+            np.square(band, out=band)
+            hits = keep[: r * width].reshape(r, width)
+            np.greater_equal(band, floor[start:stop, None], out=hits)
+            tile_union[by_sd[window][hits.any(axis=0)]] = True
+        tile_union[cand[:, start:stop]] = True
+        np.logical_or(group, tile_union, out=merged)
+        if start > g0 and (stop - g0) * np.count_nonzero(merged) > rows * n_large:
+            yield g0, start, np.flatnonzero(group)
+            g0 = start
+            group, tile_union = tile_union, group
+        else:
+            group, merged = merged, group
+    yield g0, n_small, np.flatnonzero(group)
+
+
+def _search_columns(small, large_t, cols, row_consts, col_consts, n, bufs, out):
+    """Write each row's best (domain, q_alpha, q_beta) over the domains
+    `cols` into out, ties to the lowest index; bufs are five flat scratch
+    buffers of at least len(small) * len(cols) cells."""
+    r, k = len(small), len(cols)
+    cross, aq, b_int, err, tmp = (buf[: r * k].reshape(r, k) for buf in bufs)
+    if k == large_t.shape[1]:
+        np.matmul(small, large_t, out=cross)
+    else:
+        np.matmul(small, large_t[:, cols], out=cross)
+        col_consts = tuple(c[cols] for c in col_consts)
+    _collage_errors(cross, row_consts, col_consts, n, aq, b_int, err, tmp)
+    best = err.argmin(axis=1)
+    at = np.arange(r), best
+    out[:, 0] = cols[best]
+    out[:, 1] = np.rint((aq[at] / 2.0 + 1.0) * 7.5)
+    out[:, 2] = b_int[at] + 255.0
+
+
 def fbc_encode(img: PixelImage, params: FbcParams) -> FbcCode:
     """Find the best (large block, alpha, beta) triple for every small block.
 
@@ -130,75 +371,53 @@ def fbc_encode(img: PixelImage, params: FbcParams) -> FbcCode:
     params.check_side(img.side)
     s = params.small_size
     n = s * s
-    plane = img.data.astype(np.float64)
-    small = _grid_blocks(plane, s)
-    large = _grid_blocks(downsample2x(plane), s)
+    pixels = _grid_blocks(img.data, s)
+    distinct, where = _distinct_by_spread(pixels, n)
+    small = pixels[distinct].astype(np.float64)
+    sss, unit_small = _centered_units(small)
+    sd_small = np.sqrt(sss)
+    large = _grid_blocks(downsample2x(img.data.astype(np.float64)), s)
+    # domains in spread order: the spreads a row can use form one run
+    var_sq, unit_large = _centered_units(large)
+    by_sd = np.argsort(var_sq, kind="stable")
+    sd_large = np.sqrt(var_sq[by_sd])
+    unit_large_t = np.ascontiguousarray(unit_large[by_sd].T)
 
     sum_s = small.sum(axis=1)
-    sum_s2 = np.einsum("ij,ij->i", small, small)
     sum_l = large.sum(axis=1)
     sum_l2 = np.einsum("ij,ij->i", large, large)
     var_l = sum_l2 - sum_l * sum_l / n  # n * variance
-    mean_s = sum_s / n
-    mean_l = sum_l / n
-    two_sum_s = 2.0 * sum_s  # 2 * b * sum_s is an exact integer either way
+    # 2 * b * sum_s is an exact integer either way
+    row_consts = (sum_s / n, np.einsum("ij,ij->i", small, small), 2.0 * sum_s)
     # flat domains get alpha = cov / inf = +-0, which quantizes like alpha = 0
     var_div = np.where(var_l > _VAR_EPS, var_l, np.inf)
+    col_consts = (sum_l, sum_l / n, sum_l2, var_div)
 
-    n_small = small.shape[0]
-    n_large = large.shape[0]
-    large_t = np.ascontiguousarray(large.T)
-    entries = np.empty((n_small, 3), dtype=np.int32)
+    # stage one: each row's upper bound ub, then two lower bounds that rule
+    # out domains for a whole tile (see _ERR_SLACK for why this is exact)
+    n_small, n_large = len(small), len(large)
     rows = min(n_small, max(1, _TILE_CELLS // n_large))
-    cross, aq, b_int, err, tmp = np.empty((5, rows, n_large))
-    for start in range(0, n_small, rows):
-        stop = min(start + rows, n_small)
-        r = stop - start
-        if r < rows:
-            cross, aq, b_int, err, tmp = (
-                buf[:r] for buf in (cross, aq, b_int, err, tmp)
-            )
-        ms = mean_s[start:stop, None]
-        np.matmul(small[start:stop], large_t, out=cross)
-        # alpha = (cross - outer(sum_s, sum_l) / n) / var, quantized to aq;
-        # n is a power of two, so outer(sum_s / n, sum_l) has the same bits
-        np.multiply(ms, sum_l, out=aq)
-        np.subtract(cross, aq, out=aq)
-        aq /= var_div
-        np.clip(aq, -1.0, 1.0, out=aq)
-        aq += 1.0
-        aq *= 7.5
-        np.rint(aq, out=aq)
-        aq *= _ALPHA_STEP
-        aq -= 1.0
-        # beta = sum_s / n - aq * (sum_l / n), rounded and clamped
-        np.multiply(aq, mean_l, out=b_int)
-        np.subtract(ms, b_int, out=b_int)
-        np.rint(b_int, out=b_int)
-        # pixels are 0..255 and |aq| <= 1, so beta >= -255 already
-        np.minimum(b_int, 255.0, out=b_int)
-        # err = sum_s2 + aq*aq*sum_l2 + n*b*b - 2*aq*cross - 2*b*sum_s
-        #       + 2*aq*b*sum_l, summed left to right; aq becomes 2 * aq
-        np.multiply(aq, aq, out=err)
-        err *= sum_l2
-        err += sum_s2[start:stop, None]
-        np.multiply(b_int, n, out=tmp)
-        tmp *= b_int
-        err += tmp
-        aq *= 2.0
-        cross *= aq
-        err -= cross
-        np.multiply(b_int, two_sum_s[start:stop, None], out=tmp)
-        err -= tmp
-        np.multiply(aq, b_int, out=tmp)
-        tmp *= sum_l
-        err += tmp
-        best = err.argmin(axis=1)
-        at = np.arange(r), best
-        entries[start:stop, 0] = best
-        entries[start:stop, 1] = np.rint((aq[at] / 2.0 + 1.0) * 7.5)
-        entries[start:stop, 2] = b_int[at] + 255.0
-    return FbcCode(img.depth, s, entries)
+    cand = by_sd[_candidates(unit_small, unit_large_t, sd_small, sd_large, rows)]
+    ub = _least_errors(small, large, cand, row_consts, col_consts, n)
+    ub += n * _ERR_SLACK
+    lo, hi = _spread_windows(sd_small, ub, sd_large, rows)
+    # every error is at least Sss * (1 - rho^2): keep rho^2 >= floor
+    with np.errstate(divide="ignore"):
+        floor = ((1.0 - ub / sss) - _rho2_slack(n)).astype(np.float32)
+
+    # stage two: the exact search over each group's surviving domains
+    large_t = np.ascontiguousarray(large.T)
+    bufs = np.empty((5, rows * n_large))
+    found = np.empty((n_small, 3), dtype=np.int32)
+    groups = _survivor_groups(
+        unit_small, unit_large_t, by_sd, lo, hi, floor, cand, rows
+    )
+    for g0, g1, cols in groups:
+        _search_columns(
+            small[g0:g1], large_t, cols, tuple(c[g0:g1, None] for c in row_consts),
+            col_consts, n, bufs, found[g0:g1],
+        )
+    return FbcCode(img.depth, s, found[where])
 
 
 def apply_block_transform(code: FbcCode, plane: np.ndarray) -> np.ndarray:

@@ -230,3 +230,13 @@ def expand_types(grid: np.ndarray, table: np.ndarray) -> np.ndarray:
     for half in (0, 1):
         np.take(cells[half], grid, axis=0, out=out[:, half])
     return out.reshape(2 * side, 2 * side)
+
+
+def row_keys(rows: np.ndarray) -> np.ndarray:
+    """View each row of a 2-D array as one opaque np.void item.
+
+    np.unique and sorting then compare whole rows by their bytes, which for
+    integer pixels is exact equality.
+    """
+    rows = np.ascontiguousarray(rows)
+    return rows.view(np.dtype((np.void, rows.dtype.itemsize * rows.shape[1])))[:, 0]

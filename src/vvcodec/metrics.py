@@ -40,12 +40,6 @@ class QualityReport:
     payload_bytes: int
     compression_ratio: float
 
-    def csv_row(self) -> str:
-        return (
-            f"{fmt(self.mse)},{fmt(self.psnr_db)},"
-            f"{self.payload_bytes},{fmt(self.compression_ratio)}"
-        )
-
     def rate_row(self) -> str:
         """The row the CLI prints: payload_bytes,psnr_db,compression_ratio."""
         return (

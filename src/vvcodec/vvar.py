@@ -36,6 +36,7 @@ from .imaging import (
     QuadAddress,
     blocks_at_level,
     expand_types,
+    row_keys,
     split_quadrants,
 )
 
@@ -329,7 +330,12 @@ def deserialize(data: bytes) -> VVarCode:
 
 def distinct_block_count(img: PixelImage, level: int) -> int:
     """Number of distinct level-`level` blocks under exact pixel equality."""
-    return len(np.unique(blocks_at_level(img, level), axis=0))
+    if not 0 <= level <= img.depth:
+        raise ValueError(f"level {level} out of range 0..{img.depth}")
+    blocks = img.data
+    for _ in range(level):
+        blocks = split_quadrants(blocks)
+    return len(np.unique(row_keys(blocks.reshape(4 ** level, -1))))
 
 
 def code_from_matrix(matrix: np.ndarray) -> VVarCode:

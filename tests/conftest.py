@@ -80,6 +80,31 @@ def make_image_b() -> PixelImage:
     return PixelImage.from_real(base)
 
 
+def adversarial_image(name: str, size: int = 512) -> PixelImage:
+    """Inputs on which the FBC search's bounds rule out little or nothing:
+    flat, two-level and gradient images (few distinct blocks), a 1-bit
+    dither (tiny spreads), noise, and noise beside a 1-bit dither."""
+    rng = np.random.default_rng(1)
+    y, x = np.indices((size, size))
+    if name == "constant":
+        plane = np.full((size, size), 128)
+    elif name == "two-level":
+        plane = (y + x) // 64 % 2 * 200
+    elif name == "gradient":
+        plane = 60 + (x + y) // 8
+    elif name == "dither":
+        plane = 100 + x // 64 + rng.integers(0, 2, (size, size))
+    elif name == "noise":
+        plane = rng.integers(0, 256, (size, size))
+    elif name == "mixed":
+        noise = rng.integers(0, 256, (size, size))
+        dither = 128 + rng.integers(0, 2, (size, size))
+        plane = np.where(x < size // 2, noise, dither)
+    else:
+        raise ValueError(f"unknown adversarial image {name!r}")
+    return PixelImage(plane.astype(np.uint8))
+
+
 def random_vvar_code(
     rng: np.random.Generator, v: int | None = None, depth: int | None = None
 ) -> vvar.VVarCode:

@@ -48,6 +48,54 @@ def brute_force_best(img: PixelImage, s: int):
     return results
 
 
+def stress_image(kind: str) -> PixelImage:
+    """16x16 inputs that stress the search's bounds."""
+    rng = np.random.default_rng(7)
+    y, x = np.indices((16, 16))
+    if kind == "duplicates":  # constant patches and repeated range blocks
+        plane = natural_image(13, 16).data.astype(np.int64)
+        plane[8:, :8] = 100
+        plane[:4, 12:] = 7
+        patch = rng.integers(0, 256, (4, 4))
+        for r0, c0 in ((0, 4), (4, 12), (12, 12), (8, 8)):
+            plane[r0:r0 + 4, c0:c0 + 4] = patch
+    elif kind == "two_level":
+        plane = (y + x) // 4 % 2 * 200
+    elif kind == "dither_texture":  # low-contrast 1-bit dither beside edges
+        texture = 128 + 120 * np.sign(np.sin(x * 1.7 + y * 0.9))
+        plane = np.where(x < 8, texture, 128 + rng.integers(0, 2, (16, 16)))
+    elif kind == "ties":  # equal errors and exact fits, err = 0 = bound
+        plane = natural_image(13, 16).data.astype(np.int64)
+        low = np.array([[90, 120], [60, 45]])
+        domain = np.kron(low, np.ones((2, 2), dtype=np.int64))
+        for r0, c0 in ((0, 4), (8, 12), (12, 8)):  # large blocks 1, 11, 14
+            plane[r0:r0 + 4, c0:c0 + 4] = domain
+        plane[12:14, 4:6] = low - 20  # small block 50: alpha 1, beta -20
+        plane[14:16, 4:6] = 255 - low  # small block 58: alpha -1, beta 255
+        plane[14:16, 0:2] = low // 5 + 60  # small block 56: alpha 1/5, beta 60
+        # exact fits whose computed error is below 0: small blocks 57, 0
+        # and 1, at alpha -13/15, -13/15 and 7/15
+        plane[14:16, 2:4] = -13 * low // 15 + 178
+        plane[0:2, 0:2] = -13 * low // 15 + 227
+        plane[0:2, 2:4] = 7 * low // 15 + 173
+    elif kind == "tight":  # the winner is no candidate and its bound is ub
+        plane = natural_image(13, 16).data.astype(np.int64)
+        low = np.array([[165, 120], [150, 60]])
+        block = -13 * low // 15 + 215  # small block 63: alpha -13/15
+        plane[14:16, 14:16] = block
+        plane[0:4, 4:8] = np.kron(low, np.ones((2, 2), dtype=np.int64))
+        # large block 4 has the same shape at half the spread (165 / 2 is
+        # the mean of 82, 83, 83, 82), so it hides block 1 as a candidate
+        half = np.kron(low // 2, np.ones((2, 2), dtype=np.int64))
+        half[0:2, 0:2] += np.eye(2, dtype=np.int64)[::-1]
+        plane[4:8, 0:4] = half
+        # large block 11 fits block 63 exactly too, at alpha 1 and beta 20
+        plane[8:12, 12:16] = np.kron(block - 20, np.ones((2, 2), dtype=np.int64))
+    else:
+        raise ValueError(kind)
+    return PixelImage(plane.astype(np.uint8))
+
+
 class TestQuantizer:
     def test_levels(self):
         assert fbc.quantize_alpha(np.array(-1.0)) == 0
@@ -116,6 +164,13 @@ class TestEncode:
         for entry, (err, li, qa, qb) in zip(code.entries, expected):
             assert (entry[0], entry[1], entry[2]) == (li, qa, qb)
 
+    @staticmethod
+    def search_in_tiles(monkeypatch, img, rows):
+        n_large = (16 // 4) ** 2
+        monkeypatch.setattr(fbc, "_TILE_CELLS", rows * n_large)
+        code = fbc.fbc_encode(img, fbc.FbcParams(2))
+        return [tuple(int(v) for v in entry) for entry in code.entries]
+
     @pytest.mark.parametrize("flat_corner", [False, True])
     @pytest.mark.parametrize("rows", [1, 3])
     def test_matches_brute_force_across_tiles(self, monkeypatch, rows, flat_corner):
@@ -126,12 +181,28 @@ class TestEncode:
             plane = img.data.copy()
             plane[:8, :8] = 100
             img = PixelImage(plane)
-        n_large = (16 // 4) ** 2
-        monkeypatch.setattr(fbc, "_TILE_CELLS", rows * n_large)
-        code = fbc.fbc_encode(img, fbc.FbcParams(2))
+        got = self.search_in_tiles(monkeypatch, img, rows)
         expected = brute_force_best(img, 2)
-        got = [tuple(int(v) for v in entry) for entry in code.entries]
         assert got == [(li, qa, qb) for _, li, qa, qb in expected]
+
+    @pytest.mark.parametrize(
+        "kind", ["duplicates", "two_level", "dither_texture", "ties", "tight"]
+    )
+    @pytest.mark.parametrize("rows", [1, 3])
+    def test_bound_stressing_images_match_brute_force(self, monkeypatch, rows, kind):
+        img = stress_image(kind)
+        got = self.search_in_tiles(monkeypatch, img, rows)
+        expected = brute_force_best(img, 2)
+        assert got == [(li, qa, qb) for _, li, qa, qb in expected]
+        if kind == "ties":
+            # three equal large blocks fit exactly; the lowest index wins
+            assert got[50] == (1, 15, 235)
+            assert got[58] == (1, 0, 510)
+            assert got[56] == (1, 9, 315)
+            assert got[57] == (1, 1, 433)
+            assert got[:2] == [(1, 1, 482), (1, 11, 428)]
+        if kind == "tight":
+            assert got[63] == (1, 1, 470)
 
     def test_search_scratch_memory_is_bounded(self):
         # 4096 x 1024 (small, large) pairs: 32 MiB per full error matrix

@@ -72,9 +72,3 @@ def test_compression_ratio_published_values():
 def test_compression_ratio_zero_payload():
     with pytest.raises(ValueError):
         metrics.compression_ratio(100, 0)
-
-
-def test_quality_report_csv():
-    a = PixelImage.constant(0, depth=3)
-    report = metrics.quality_report(a, a, payload_bytes=16)
-    assert report.csv_row() == "0.0000,inf,16,4.0000"

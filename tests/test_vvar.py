@@ -6,7 +6,7 @@ import pytest
 from conftest import DEMO_ADDRESS, random_vvar_code
 from vvcodec import metrics, vvar
 from vvcodec.clustering import ClusterOptions, canonicalize_labels, kmeans
-from vvcodec.imaging import FormatError, PixelImage, split_quadrants
+from vvcodec.imaging import FormatError, PixelImage, blocks_at_level, split_quadrants
 
 
 def all_addresses(depth):
@@ -67,8 +67,6 @@ class TestEncodeDecode:
         # (V-1)-run's centroids plus the worst-fit point
         rng = np.random.default_rng(4)
         img = PixelImage(rng.integers(0, 256, (32, 32)))
-        from vvcodec.imaging import blocks_at_level
-
         points = blocks_at_level(img, 2)
         v = 7
         small = kmeans(points, ClusterOptions(k=v - 1, seed=0, restarts=3))
@@ -289,6 +287,22 @@ class TestDistinctBlockCount:
     def test_level_out_of_range(self):
         with pytest.raises(ValueError):
             vvar.distinct_block_count(PixelImage.constant(0, depth=2), 3)
+        with pytest.raises(ValueError):
+            vvar.distinct_block_count(PixelImage.constant(0, depth=2), -1)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_float_row_reference(self, seed):
+        # the float-row expression distinct_block_count used to be
+        rng = np.random.default_rng(seed)
+        images = [
+            PixelImage(rng.integers(0, 2, (16, 16))),
+            PixelImage(rng.integers(0, 256, (8, 8))),
+            vvar.decode(random_vvar_code(rng, v=5, depth=4)),
+        ]
+        for img in images:
+            for level in range(img.depth + 1):
+                reference = len(np.unique(blocks_at_level(img, level), axis=0))
+                assert vvar.distinct_block_count(img, level) == reference
 
 
 class TestCodeFromMatrix:
