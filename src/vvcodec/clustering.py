@@ -109,15 +109,15 @@ def _lloyd(
         labels = _assign(points, centroids)
         counts = np.bincount(labels, minlength=k)
         for j in np.flatnonzero(counts == 0):
-            # farthest point from the empty cluster's current centroid;
-            # stable sort keeps the lowest index on ties
+            # farthest point from the empty cluster's current centroid among
+            # those whose cluster keeps a member (k <= n, so one exists);
+            # argmax keeps the lowest index on ties
             d2 = ((points - centroids[j]) ** 2).sum(axis=1)
-            for p in np.argsort(-d2, kind="stable"):
-                if counts[labels[p]] > 1:
-                    counts[labels[p]] -= 1
-                    labels[p] = j
-                    counts[j] = 1
-                    break
+            d2[counts[labels] < 2] = -1.0
+            p = d2.argmax()
+            counts[labels[p]] -= 1
+            labels[p] = j
+            counts[j] = 1
         sums = _label_sums(points, labels, k)
         centroids = sums / np.maximum(counts, 1)[:, None]
         sse = float(((points - centroids[labels]) ** 2).sum())

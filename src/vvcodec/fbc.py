@@ -11,17 +11,14 @@ ch. 3). Identical small blocks are searched once. Stage one bounds every
 (small block, large block) cell cheaply: a float32 matmul of mean-removed,
 unit-norm blocks gives their correlation rho, and whatever alpha and beta,
 the error is at least Sss * (1 - rho^2), Sss being the small block's
-centered sum of squares. For |alpha| in [1/15, 1] it is also at least
-(sd_s - |alpha| * sd_l)^2 in the blocks' root centered sums of squares, so
-a tile needs only one run of the large blocks sorted by spread; for a flat
-small block this is var_l <= 225 * ub. Each row's upper bound ub is the
-exact error of a few candidate blocks. A cell is skipped only when its lower
-bound exceeds ub plus a margin derived from the magnitudes (see
-_ERR_SLACK), so the winner and every cell tied with it survive. Stage two
-runs the exact error expressions over the union of the surviving columns
-of consecutive row tiles, in five scratch buffers of at most _TILE_CELLS
-float64 cells each, so memory does not grow with the image, and the output
-is bit for bit that of the full scan.
+centered sum of squares. Each row's upper bound ub is the exact error of a
+few candidate blocks. A cell is skipped only when its lower bound exceeds ub
+plus a margin derived from the magnitudes (see _ERR_SLACK), so the winner
+and every cell tied with it survive. Stage two runs the exact error
+expressions over the union of the surviving columns of consecutive row
+tiles, in five scratch buffers of at most _TILE_CELLS float64 cells each, so
+memory does not grow with the image, and the output is bit for bit that of
+the full scan.
 """
 
 from __future__ import annotations
@@ -47,13 +44,10 @@ _TILE_CELLS = 1 << 15  # float64 cells per search buffer: 256 KiB, fits in L2
 # - err sums six terms of magnitude at most 2 * 255^2 * n (9 * 255^2 * n <
 #   2^20 * n in all), each through at most 7 roundings, so it is within
 #   7 * 2^-53 * 2^20 * n < n * 2^-30 of exact: _ERR_SLACK leaves 4x headroom;
-# - cross is exact; Sss and the spreads are within (n + 2) float64 ulps of
-#   exact and |alpha_q| >= (1 - 2^-50) / 15, all far inside _REL_SLACK for
-#   any n <= 2^24;
+# - cross is exact, and Sss is within (n + 2) float64 ulps of exact;
 # - _rho2_slack(n) bounds the float32 rounding of rho^2.
 # A wider margin only costs survivors; a narrower one could change output.
 _ERR_SLACK = 2.0 ** -28
-_REL_SLACK = 2.0 ** -20
 
 MAGIC = b"FBC1"
 VERSION = 1
@@ -242,21 +236,6 @@ def _distinct_by_spread(pixels: np.ndarray, n: int) -> tuple[np.ndarray, np.ndar
     return first[order], place[inverse]
 
 
-def _spread_windows(sd_small, ub, sd_large, rows) -> tuple[np.ndarray, np.ndarray]:
-    """Per tile, the run [lo, hi) of spread-ordered domains its rows can use.
-
-    For |alpha| in [1/15, 1] every error is at least (sd_s - |alpha| sd_l)^2,
-    so a row needs sd_s - sqrt(ub) <= sd_l <= 15 * (sd_s + sqrt(ub)).
-    """
-    root = np.sqrt(ub)
-    lo_sd = sd_small * (1.0 - _REL_SLACK) - root * (1.0 + _REL_SLACK)
-    hi_sd = 15.0 * (sd_small + root) * (1.0 + _REL_SLACK)
-    starts = np.arange(0, len(ub), rows)
-    lo = np.searchsorted(sd_large, np.minimum.reduceat(lo_sd, starts), "left")
-    hi = np.searchsorted(sd_large, np.maximum.reduceat(hi_sd, starts), "right")
-    return lo, hi
-
-
 def _candidates(unit_small, unit_large_t, sd_small, sd_large, rows) -> np.ndarray:
     """Positions in spread order of each row's candidate domains, (5, n_small).
 
@@ -304,33 +283,30 @@ def _least_errors(small, large, cand, row_consts, col_consts, n) -> np.ndarray:
     return least
 
 
-def _survivor_groups(unit_small, unit_large_t, by_sd, lo, hi, floor, cand, rows):
+def _survivor_groups(unit_small, unit_large_t, by_sd, floor, cand, rows):
     """Yield (first row, end row, sorted domain indices) for the exact search.
 
-    Tile t keeps the domains by_sd[lo[t]:hi[t]] whose rho^2 reaches the
-    floor of one of its rows, plus its rows' candidates. Consecutive tiles
-    share one group while the group's rows times its domains fit in the
-    rows * n_large cells of the search buffers.
+    Tile t keeps the domains whose rho^2 reaches the floor of one of its
+    rows, plus its rows' candidates. Consecutive tiles share one group while
+    the group's rows times its domains fit in the rows * n_large cells of the
+    search buffers.
     """
     n_small, n_large = len(unit_small), len(by_sd)
-    rho = np.empty(rows * n_large, dtype=np.float32)
-    keep = np.empty(rows * n_large, dtype=bool)
+    rho = np.empty((rows, n_large), dtype=np.float32)
+    keep = np.empty((rows, n_large), dtype=bool)
     tile_union, group, merged = np.zeros((3, n_large), dtype=bool)
     g0 = 0
-    for t, start in enumerate(range(0, n_small, rows)):
+    for start in range(0, n_small, rows):
         stop = min(start + rows, n_small)
-        window = slice(lo[t], hi[t])
-        tile_union.fill(False)
         if floor[start:stop].min() <= 0.0:  # a row that no rho can rule out
-            tile_union[by_sd[window]] = True
+            tile_union.fill(True)
         else:
-            r, width = stop - start, hi[t] - lo[t]
-            band = rho[: r * width].reshape(r, width)
-            np.matmul(unit_small[start:stop], unit_large_t[:, window], out=band)
+            tile_union.fill(False)
+            band, hits = rho[: stop - start], keep[: stop - start]
+            np.matmul(unit_small[start:stop], unit_large_t, out=band)
             np.square(band, out=band)
-            hits = keep[: r * width].reshape(r, width)
             np.greater_equal(band, floor[start:stop, None], out=hits)
-            tile_union[by_sd[window][hits.any(axis=0)]] = True
+            tile_union[by_sd[hits.any(axis=0)]] = True
         tile_union[cand[:, start:stop]] = True
         np.logical_or(group, tile_union, out=merged)
         if start > g0 and (stop - g0) * np.count_nonzero(merged) > rows * n_large:
@@ -377,7 +353,7 @@ def fbc_encode(img: PixelImage, params: FbcParams) -> FbcCode:
     sss, unit_small = _centered_units(small)
     sd_small = np.sqrt(sss)
     large = _grid_blocks(downsample2x(img.data.astype(np.float64)), s)
-    # domains in spread order: the spreads a row can use form one run
+    # domains in spread order, for _candidates' half-spread picks
     var_sq, unit_large = _centered_units(large)
     by_sd = np.argsort(var_sq, kind="stable")
     sd_large = np.sqrt(var_sq[by_sd])
@@ -393,14 +369,13 @@ def fbc_encode(img: PixelImage, params: FbcParams) -> FbcCode:
     var_div = np.where(var_l > _VAR_EPS, var_l, np.inf)
     col_consts = (sum_l, sum_l / n, sum_l2, var_div)
 
-    # stage one: each row's upper bound ub, then two lower bounds that rule
+    # stage one: each row's upper bound ub, then a lower bound that rules
     # out domains for a whole tile (see _ERR_SLACK for why this is exact)
     n_small, n_large = len(small), len(large)
     rows = min(n_small, max(1, _TILE_CELLS // n_large))
     cand = by_sd[_candidates(unit_small, unit_large_t, sd_small, sd_large, rows)]
     ub = _least_errors(small, large, cand, row_consts, col_consts, n)
     ub += n * _ERR_SLACK
-    lo, hi = _spread_windows(sd_small, ub, sd_large, rows)
     # every error is at least Sss * (1 - rho^2): keep rho^2 >= floor
     with np.errstate(divide="ignore"):
         floor = ((1.0 - ub / sss) - _rho2_slack(n)).astype(np.float32)
@@ -409,9 +384,7 @@ def fbc_encode(img: PixelImage, params: FbcParams) -> FbcCode:
     large_t = np.ascontiguousarray(large.T)
     bufs = np.empty((5, rows * n_large))
     found = np.empty((n_small, 3), dtype=np.int32)
-    groups = _survivor_groups(
-        unit_small, unit_large_t, by_sd, lo, hi, floor, cand, rows
-    )
+    groups = _survivor_groups(unit_small, unit_large_t, by_sd, floor, cand, rows)
     for g0, g1, cols in groups:
         _search_columns(
             small[g0:g1], large_t, cols, tuple(c[g0:g1, None] for c in row_consts),

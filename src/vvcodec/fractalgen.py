@@ -307,6 +307,8 @@ def read_integer_grid(text: str) -> np.ndarray:
         return np.array([[int(x) for x in r] for r in rows], dtype=np.int64)
     except ValueError:
         raise ValueError("matrix entries must be integers") from None
+    except OverflowError:
+        raise ValueError("matrix entries must fit in a signed 64-bit integer") from None
 
 
 def cantor_ifs() -> list[Affine1D]:

@@ -125,17 +125,9 @@ class VVarCode:
 
 def _distinct_rows(points: np.ndarray, k: int) -> np.ndarray:
     """First k distinct rows in input order, cycled if fewer exist."""
-    seen: dict[bytes, None] = {}
-    rows = []
-    for row in points:
-        key = row.tobytes()
-        if key not in seen:
-            seen[key] = None
-            rows.append(row)
-            if len(rows) == k:
-                break
-    out = [rows[i % len(rows)] for i in range(k)]
-    return np.array(out, dtype=np.float64)
+    _, first = np.unique(row_keys(points), return_index=True)
+    first = np.sort(first)[:k]
+    return points[first[np.arange(k) % len(first)]]
 
 
 def encode(

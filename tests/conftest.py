@@ -7,9 +7,15 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import settings
+from hypothesis import strategies as st
 
 from vvcodec import fbc, vvar
 from vvcodec.imaging import PixelImage
+
+# the property tests' base settings: derandomized, so every run tries the
+# same examples; no example database; no per-example deadline
+settings.register_profile("fuzz", derandomize=True, database=None, deadline=None)
 
 # 4-type coding matrix for a 512x512 image: columns are the label tables for
 # levels 2..8 followed by the four leaf gray values.
@@ -133,6 +139,15 @@ def random_vvar_code(
         ],
         leaf_values=rng.integers(0, 256, 4 * v).astype(np.uint8),
     )
+
+
+@st.composite
+def byte_mutations(draw, streams):
+    """A stream with 1..4 bytes overwritten, its length unchanged."""
+    blob = bytearray(draw(st.sampled_from(streams)))
+    for _ in range(draw(st.integers(1, 4))):
+        blob[draw(st.integers(0, len(blob) - 1))] = draw(st.integers(0, 255))
+    return bytes(blob)
 
 
 @pytest.fixture(scope="session")

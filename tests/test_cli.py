@@ -236,6 +236,20 @@ class TestFractalCommand:
         img = load_pgm(out_pgm.read_bytes())
         assert len(np.unique(img.data)) == 1
 
+    @pytest.mark.parametrize(
+        "entry", ["99999999999999999999", str(2 ** 63), str(-(2 ** 63) - 1)]
+    )
+    def test_vsquare_matrix_entry_beyond_int64(self, capsys, tmp_path, entry):
+        matrix_file = tmp_path / "big.txt"
+        matrix_file.write_text(f"1 1 1\n1 1 1\n1 1 1\n{entry} 1 7\n")
+        out_pgm = tmp_path / "sq.pgm"
+        status, out, err = run_cli(
+            capsys, "fractal", "vsquare", out_pgm, "--matrix", matrix_file
+        )
+        assert status == 1 and out == ""
+        assert err.startswith("vvcodec: ") and "Traceback" not in err
+        assert list(tmp_path.iterdir()) == [matrix_file]
+
     def test_vsquare_needs_source(self, capsys, tmp_path):
         status, _, _ = run_cli(capsys, "fractal", "vsquare", tmp_path / "x.pgm")
         assert status == 1

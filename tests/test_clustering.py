@@ -100,6 +100,16 @@ class TestKmeans:
         res = kmeans(pts, ClusterOptions(k=3, seed=0))
         assert res.sse == 0.0
 
+    def test_empty_cluster_skips_a_lone_farthest_point(self):
+        # no point is nearest to -100; 10 is farthest from it but alone in
+        # its cluster, so the repair moves 0.1, the next farthest
+        res = kmeans(
+            np.array([[0.0], [0.1], [10.0]]),
+            ClusterOptions(k=3, max_iterations=1),
+            initial_centroids=np.array([[0.05], [10.0], [-100.0]]),
+        )
+        assert res.labels.tolist() == [1, 3, 2]
+
     def test_period_two_cycle_ends(self):
         # duplicate initial centroids leave an empty cluster whose repair
         # flips labels between two equal-SSE states on every iteration

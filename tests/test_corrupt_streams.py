@@ -6,13 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_vvar_code
+from conftest import byte_mutations, random_vvar_code
 from vvcodec import fbc, vvar
 from vvcodec.bitpack import pack
 from vvcodec.imaging import FormatError, PixelImage, load_pgm, save_pgm
 
-# derandomized, so every run tries the same examples; no example database
-FUZZ = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+FUZZ = settings(settings.get_profile("fuzz"), max_examples=150)
 
 
 def _vv_streams() -> list[bytes]:
@@ -40,15 +39,6 @@ def _pgm_streams() -> list[bytes]:
 VV_STREAMS = _vv_streams()
 FBC_STREAMS = _fbc_streams()
 PGM_STREAMS = _pgm_streams()
-
-
-@st.composite
-def byte_mutations(draw, streams):
-    """A stream with 1..4 bytes overwritten, its length unchanged."""
-    blob = bytearray(draw(st.sampled_from(streams)))
-    for _ in range(draw(st.integers(1, 4))):
-        blob[draw(st.integers(0, len(blob) - 1))] = draw(st.integers(0, 255))
-    return bytes(blob)
 
 
 @st.composite

@@ -320,3 +320,5 @@ class TestTextFormats:
             fg.read_integer_grid("1 2\n3\n")
         with pytest.raises(ValueError):
             fg.read_integer_grid("1 x\n")
+        with pytest.raises(ValueError, match="64-bit"):
+            fg.read_integer_grid(f"1 {2 ** 63}\n")

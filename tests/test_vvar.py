@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import DEMO_ADDRESS, random_vvar_code
 from vvcodec import metrics, vvar
@@ -53,14 +55,18 @@ class TestEncodeDecode:
         b = vvar.encode(img, 6, seed=3)
         assert a == b
 
-    def test_v_variability_of_random_encodes(self):
-        rng = np.random.default_rng(3)
-        for v in (3, 4, 16):
-            img = PixelImage(rng.integers(0, 256, (32, 32)))
-            decoded = vvar.decode(vvar.encode(img, v, restarts=1))
-            n0 = vvar.compute_n0(v, img.depth)
-            for level in range(n0 + 1, img.depth + 1):
-                assert vvar.distinct_block_count(decoded, level) <= v
+    @settings(settings.get_profile("fuzz"), max_examples=60)
+    @given(st.integers(3, 5), st.data())
+    def test_v_variability_of_random_encodes(self, depth, data):
+        # few gray levels give duplicate blocks, so clusters can start empty
+        v = data.draw(st.integers(1, 4 ** (depth - 1) - 1), label="v")
+        levels = data.draw(st.sampled_from([2, 3, 256]), label="gray levels")
+        seed = data.draw(st.integers(0, 2 ** 32 - 1), label="seed")
+        rng = np.random.default_rng(seed)
+        img = PixelImage(rng.integers(0, levels, (2 ** depth, 2 ** depth)))
+        decoded = vvar.decode(vvar.encode(img, v, seed=seed, restarts=1))
+        for level in range(img.depth + 1):
+            assert vvar.distinct_block_count(decoded, level) <= v
 
     def test_monotone_capacity_under_seeded_init(self):
         # SSE with V clusters <= SSE with V-1 when the V-run starts from the
@@ -303,6 +309,15 @@ class TestDistinctBlockCount:
             for level in range(img.depth + 1):
                 reference = len(np.unique(blocks_at_level(img, level), axis=0))
                 assert vvar.distinct_block_count(img, level) == reference
+
+
+class TestDistinctRows:
+    def test_first_rows_in_input_order_cycled(self):
+        points = np.array([[3, 4], [1, 2], [3, 4], [5, 6], [1, 2]], dtype=float)
+        assert vvar._distinct_rows(points, 2).tolist() == [[3, 4], [1, 2]]
+        assert vvar._distinct_rows(points, 5).tolist() == [
+            [3, 4], [1, 2], [5, 6], [3, 4], [1, 2]
+        ]
 
 
 class TestCodeFromMatrix:
