@@ -13,11 +13,31 @@ centroid index. An empty cluster is reseeded with the point farthest from
 that cluster's current centroid, which keeps exactly k representatives
 alive. A descent stops when its labels repeat those of one or two iterations
 earlier, or after max_iterations.
+
+After a descent's first iteration the assignment is incremental and exact,
+by code vector activity detection (Kaukoranta, Franti & Nevalainen, IEEE
+TIP 9(8), 2000): a centroid whose bits did not change scores every point as
+before, so only the points whose own winner moved are rescored against all
+k centroids. Every other point is screened against the moved centroids
+alone and is rescored only if one of them comes within a rounding margin of
+its stored winning score. Likewise only the clusters whose members changed
+have their sums recomputed.
+
+Rescoring gives the full pass's bits because of how the BLAS rounds, as
+measured on OpenBLAS 0.3.31: each cell of a product with the shape of one
+chunk (the same row count and all k columns) rounds the same whatever rows
+fill it, when k is a multiple of 8. A block of another row count can round
+differently (one row goes through gemv; two rows at k=600, dim 64 take
+another kernel), and so can a subset of the columns, which is why the
+screen needs its margin. Off a multiple of 8 the last columns round by the
+row's place in the block, so those k, and levels whose whole score block
+fits in one chunk, take the full pass on every iteration.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -61,21 +81,110 @@ class ClusterResult:
 # float64 scratch per assignment chunk: bounds the n x k score block
 _CHUNK_BYTES = 2 << 20
 
+# the incremental assignment needs k to be a multiple of this: the column
+# unroll of the OpenBLAS dgemm kernels (see the module docstring)
+_COLUMN_UNROLL = 8
 
-def _assign(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    """Index of each point's nearest centroid, lowest index on ties.
+
+class _Assignment(NamedTuple):
+    """One assignment step: the centroids it scored, each point's argmin
+    label before any empty-cluster repair, and that label's score."""
+
+    centroids: np.ndarray
+    labels: np.ndarray
+    scores: np.ndarray
+
+
+def _score_block(
+    points: np.ndarray, centroids: np.ndarray, half_c2: np.ndarray
+) -> np.ndarray:
+    scores = points @ centroids.T
+    np.subtract(half_c2, scores, out=scores)
+    return scores
+
+
+def _winners(scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    labels = scores.argmin(axis=1)
+    return labels, scores[np.arange(len(labels)), labels]
+
+
+def _screen_margin(
+    pnorm: np.ndarray, half_c2: np.ndarray, dim: int
+) -> np.ndarray:
+    # A screened score and the score of the same cell in a full block are
+    # both h - p.c with the same h = 0.5*||c||^2; their dot products add the
+    # same dim products in different orders, so each is within dim*u*|p||c|
+    # of exact (u = 2^-53), and each subtraction adds u*|h - p.c|. They
+    # differ by at most 2*(dim + 1)*u*(|p|*cmax + hmax), with cmax and hmax
+    # the largest norm and half squared norm of any centroid, which also
+    # bounds the rounding of winner + margin. (dim + 2) * 2^-51 leaves 2x
+    # headroom; a wider margin only costs rescored rows.
+    hmax = float(half_c2.max())
+    return (dim + 2) * 2.0 ** -51 * (pnorm * np.sqrt(2.0 * hmax) + hmax)
+
+
+def _assign(
+    points: np.ndarray,
+    centroids: np.ndarray,
+    prev: _Assignment | None = None,
+) -> _Assignment:
+    """Nearest centroid of each point, lowest index on ties.
 
     Takes the argmin of 0.5*||c||^2 - p.c, which ranks centroids like
     ||p - c||^2, over row chunks whose score block fits in _CHUNK_BYTES.
+    Given the previous step ``prev``, it rescores only the points that a
+    moved centroid can reach, in blocks of a chunk's shape, and returns the
+    labels and scores the full pass would.
     """
+    n, dim = points.shape
+    k = len(centroids)
     half_c2 = 0.5 * np.einsum("ij,ij->i", centroids, centroids)
-    rows = max(1, _CHUNK_BYTES // (8 * len(centroids)))
-    labels = np.empty(len(points), dtype=np.int64)
-    for start in range(0, len(points), rows):
-        scores = points[start:start + rows] @ centroids.T
-        np.subtract(half_c2, scores, out=scores)
-        labels[start:start + rows] = scores.argmin(axis=1)
-    return labels
+    rows = max(1, _CHUNK_BYTES // (8 * k))
+    if prev is None or rows >= n or k % _COLUMN_UNROLL:
+        labels = np.empty(n, dtype=np.int64)
+        best = np.empty(n, dtype=np.float64)
+        for start in range(0, n, rows):
+            chunk = slice(start, start + rows)
+            labels[chunk], best[chunk] = _winners(
+                _score_block(points[chunk], centroids, half_c2)
+            )
+        return _Assignment(centroids, labels, best)
+
+    labels = prev.labels.copy()
+    best = prev.scores.copy()
+    moved = (centroids != prev.centroids).any(axis=1)
+    if not moved.any():
+        return _Assignment(centroids, labels, best)
+
+    # an unmoved centroid scores the same bits as before, so the old winner
+    # is still the argmin among the unmoved ones; a point keeps it unless
+    # its winner moved or a moved centroid comes within the margin (<=, so a
+    # tie with a lower index is rescored)
+    stale = moved[labels]
+    cols = np.flatnonzero(moved)
+    moved_c, moved_h = centroids[cols], half_c2[cols]
+    keep = np.flatnonzero(~stale)
+    step = max(1, _CHUNK_BYTES // (8 * max(len(cols), dim)))
+    for start in range(0, len(keep), step):
+        idx = keep[start:start + step]
+        pts = points[idx]
+        limit = best[idx] + _screen_margin(
+            np.sqrt(np.einsum("ij,ij->i", pts, pts)), half_c2, dim
+        )
+        stale[idx] = _score_block(pts, moved_c, moved_h).min(axis=1) <= limit
+
+    # rescore in blocks shaped like the full pass's chunk that holds each
+    # row: a block of another row count can round differently (one row goes
+    # through gemv), so short blocks are padded by repeating their rows
+    redo = np.flatnonzero(stale)
+    full = n - n % rows
+    for group, size in ((redo[redo < full], rows), (redo[redo >= full], n - full)):
+        for start in range(0, len(group), max(size, 1)):
+            idx = np.resize(group[start:start + size], size)
+            labels[idx], best[idx] = _winners(
+                _score_block(points[idx], centroids, half_c2)
+            )
+    return _Assignment(centroids, labels, best)
 
 
 def _label_sums(points: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
@@ -105,8 +214,10 @@ def _lloyd(
     history: list[float] = []
     labels = np.zeros(len(points), dtype=np.int64)
     sse = float("inf")
+    step: _Assignment | None = None
     for _ in range(max_iterations):
-        labels = _assign(points, centroids)
+        step = _assign(points, centroids, step)
+        labels = step.labels.copy()  # the repair must not touch step
         counts = np.bincount(labels, minlength=k)
         for j in np.flatnonzero(counts == 0):
             # farthest point from the empty cluster's current centroid among
@@ -118,7 +229,19 @@ def _lloyd(
             counts[labels[p]] -= 1
             labels[p] = j
             counts[j] = 1
-        sums = _label_sums(points, labels, k)
+        if recent:
+            # bincount adds each cluster's members in point order, so a
+            # cluster that kept its members keeps its sum bit for bit
+            changed = labels != recent[0]
+            touched = np.zeros(k, dtype=bool)
+            touched[labels[changed]] = True
+            touched[recent[0][changed]] = True
+            members = np.flatnonzero(touched[labels])
+            sums[touched] = _label_sums(
+                points[members], labels[members], k
+            )[touched]
+        else:
+            sums = _label_sums(points, labels, k)
         centroids = sums / np.maximum(counts, 1)[:, None]
         sse = float(((points - centroids[labels]) ** 2).sum())
         history.append(sse)
@@ -182,12 +305,11 @@ def canonicalize_labels(result: ClusterResult) -> ClusterResult:
     k = result.k
     _, first_pos = np.unique(labels, return_index=True)
     used_old = labels[np.sort(first_pos)]  # old labels by first appearance
+    u = len(used_old)
     mapping = np.zeros(k + 1, dtype=np.int64)
-    for new, old in enumerate(used_old, start=1):
-        mapping[old] = new
-    unused_old = [j for j in range(1, k + 1) if mapping[j] == 0]
-    for new, old in enumerate(unused_old, start=len(used_old) + 1):
-        mapping[old] = new
+    mapping[used_old] = np.arange(1, u + 1)
+    unused = mapping[1:] == 0  # unused old labels, in original order
+    mapping[1:][unused] = np.arange(u + 1, k + 1)
     order = np.empty(k, dtype=np.int64)
     order[mapping[1:] - 1] = np.arange(k)
     return ClusterResult(

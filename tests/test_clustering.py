@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -118,6 +119,19 @@ class TestKmeans:
         res = kmeans(pts, opts)
         assert len(res.sse_history) < opts.max_iterations
 
+    def test_scratch_memory_is_bounded(self):
+        # n=4096, k=1024: 32 MiB per full n x k score block
+        rng = np.random.default_rng(6)
+        pts = rng.integers(0, 256, (4096, 64)).astype(np.float64)
+        tracemalloc.start()
+        try:
+            res = kmeans(pts, ClusterOptions(k=1024, max_iterations=6, restarts=1))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(res.sse_history) > 1
+        assert peak < 10 * 2 ** 20
+
     def test_k_larger_than_points(self):
         with pytest.raises(ValueError):
             kmeans(np.zeros((2, 1)), ClusterOptions(k=3))
@@ -188,7 +202,7 @@ class TestAssign:
         pts = rng.random((500, 7))
         cents = rng.random((40, 7))
         assert np.array_equal(
-            clustering._assign(pts, cents), brute_force_assign(pts, cents)
+            clustering._assign(pts, cents).labels, brute_force_assign(pts, cents)
         )
 
     def test_ties_go_to_lowest_index(self):
@@ -197,7 +211,7 @@ class TestAssign:
         # duplicated centroids that coincide with many points
         cents = pts[rng.integers(0, 300, 12)]
         cents = np.concatenate([cents, cents[::-1]])
-        got = clustering._assign(pts, cents)
+        got = clustering._assign(pts, cents).labels
         assert np.array_equal(got, brute_force_assign(pts, cents))
         assert (got < 12).all()
 
@@ -208,5 +222,193 @@ class TestAssign:
         cents = rng.integers(0, 6, (5, 3)).astype(np.float64)
         monkeypatch.setattr(clustering, "_CHUNK_BYTES", rows * 8 * len(cents))
         assert np.array_equal(
-            clustering._assign(pts, cents), brute_force_assign(pts, cents)
+            clustering._assign(pts, cents).labels, brute_force_assign(pts, cents)
         )
+
+
+def full_assign(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
+    """Argmin of 0.5*||c||^2 - p.c over every point, in the row chunks of
+    clustering._CHUNK_BYTES: the full pass, with its rounding."""
+    half_c2 = 0.5 * np.einsum("ij,ij->i", centroids, centroids)
+    rows = max(1, clustering._CHUNK_BYTES // (8 * len(centroids)))
+    return np.concatenate([
+        (half_c2 - points[start:start + rows] @ centroids.T).argmin(axis=1)
+        for start in range(0, len(points), rows)
+    ])
+
+
+def reference_lloyd(points, centroids, max_iterations):
+    """Lloyd with a full assignment on every iteration, the same empty-cluster
+    repair and the same stop rule as clustering.kmeans."""
+    k = len(centroids)
+    recent, history = [], []
+    for _ in range(max_iterations):
+        labels = full_assign(points, centroids)
+        counts = np.bincount(labels, minlength=k)
+        for j in np.flatnonzero(counts == 0):
+            d2 = ((points - centroids[j]) ** 2).sum(axis=1)
+            d2[counts[labels] < 2] = -1.0
+            p = d2.argmax()
+            counts[labels[p]] -= 1
+            labels[p] = j
+            counts[j] = 1
+        sums = np.stack(
+            [np.bincount(labels, weights=points[:, d], minlength=k)
+             for d in range(points.shape[1])],
+            axis=1,
+        )
+        centroids = sums / np.maximum(counts, 1)[:, None]
+        sse = float(((points - centroids[labels]) ** 2).sum())
+        history.append(sse)
+        if any(np.array_equal(labels, old) for old in recent):
+            break
+        recent = [labels] + recent[:1]
+    return labels + 1, centroids, sse, history
+
+
+def reference_kmeans(points, opts, initial_centroids=None):
+    if initial_centroids is not None:
+        return reference_lloyd(points, initial_centroids, opts.max_iterations)
+    best = None
+    for restart in range(opts.restarts):
+        rng = np.random.default_rng([opts.seed & clustering._SEED_MASK, restart])
+        idx = rng.choice(len(points), size=opts.k, replace=False)
+        result = reference_lloyd(points, points[idx], opts.max_iterations)
+        if best is None or result[2] < best[2]:
+            best = result
+    return best
+
+
+def assert_matches_reference(points, opts, initial_centroids=None):
+    labels, centroids, sse, history = reference_kmeans(
+        points, opts, initial_centroids
+    )
+    res = kmeans(points, opts, initial_centroids=initial_centroids)
+    assert np.array_equal(res.labels, labels)
+    assert np.array_equal(res.centroids, centroids)
+    assert res.sse == sse
+    assert res.sse_history == history
+
+
+def assert_same_as_full_pass(points, prev_centroids, centroids):
+    prev = clustering._assign(points, prev_centroids)
+    got = clustering._assign(points, centroids, prev)
+    want = clustering._assign(points, centroids)
+    assert np.array_equal(got.labels, want.labels)
+    assert np.array_equal(got.scores, want.scores)
+    assert np.array_equal(want.labels, full_assign(points, centroids))
+
+
+class TestIncrementalAssign:
+    """Lloyd's assignment rescores only the points a moved centroid can
+    reach; it must give the labels and scores of the full pass."""
+
+    @pytest.mark.parametrize("rows", [1, 3, 16])
+    @pytest.mark.parametrize("k", [16, 24, 13])
+    def test_random_floats(self, monkeypatch, rows, k):
+        monkeypatch.setattr(clustering, "_CHUNK_BYTES", rows * 8 * k)
+        rng = np.random.default_rng(k + rows)
+        pts = rng.random((200, 5)) * 10
+        for seed in range(3):
+            assert_matches_reference(
+                pts, ClusterOptions(k=k, seed=seed, restarts=2)
+            )
+
+    @pytest.mark.parametrize("rows", [1, 3, 16])
+    @pytest.mark.parametrize("k", [8, 16, 40])
+    def test_duplicate_heavy_integers(self, monkeypatch, rows, k):
+        # few distinct values: coincident centroids, empty-cluster repairs
+        # and exact ties between moved and unmoved centroids
+        monkeypatch.setattr(clustering, "_CHUNK_BYTES", rows * 8 * k)
+        rng = np.random.default_rng(100 + k + rows)
+        for levels, dim in ((3, 1), (4, 2), (2, 4)):
+            pts = rng.integers(0, levels, (160, dim)).astype(np.float64)
+            for seed in range(3):
+                assert_matches_reference(
+                    pts, ClusterOptions(k=k, seed=seed, restarts=2)
+                )
+            assert_matches_reference(
+                pts, ClusterOptions(k=k), initial_centroids=pts[:k] * 0.5
+            )
+
+    def test_full_size_level(self):
+        # a V=1024 level's shape at the default chunk size: 4096 points
+        # into 1024 clusters
+        rng = np.random.default_rng(5)
+        pts = rng.integers(0, 256, (4096, 4)).astype(np.float64)
+        assert_matches_reference(pts, ClusterOptions(k=1024, restarts=1))
+
+    def test_one_point_to_rescore(self):
+        # one centroid moves, and it is the winner of exactly one point:
+        # that point alone is rescored, in a block of a chunk's shape (one
+        # row would go through gemv and round differently)
+        rng = np.random.default_rng(21)
+        pts = rng.random((300, 16)) * 255
+        cents = rng.random((1024, 16)) * 255
+        owned = np.bincount(clustering._assign(pts, cents).labels, minlength=1024)
+        for j in np.flatnonzero(owned == 1)[:8]:
+            moved = cents.copy()
+            moved[j] += 1e-3
+            assert_same_as_full_pass(pts, cents, moved)
+
+    def test_two_points_to_rescore(self):
+        # a 2-row block at k=600, dim 64 also rounds unlike a chunk
+        rng = np.random.default_rng(0)
+        pts = rng.random((1000, 64)) * 255
+        cents = rng.random((600, 64)) * 255
+        owned = np.bincount(clustering._assign(pts, cents).labels, minlength=600)
+        single = np.flatnonzero(owned == 1)
+        for pair in zip(single[:8:2], single[1:8:2]):
+            moved = cents.copy()
+            moved[list(pair)] += 1e-3
+            assert_same_as_full_pass(pts, cents, moved)
+
+    @pytest.mark.parametrize("rows", [1, 3, 16])
+    def test_moved_centroid_ties_a_higher_unmoved_winner(self, monkeypatch, rows):
+        # centroid 0 moves onto centroid 5, the winner of the points around
+        # it: every such point now ties and must go to the lower index
+        monkeypatch.setattr(clustering, "_CHUNK_BYTES", rows * 8 * 16)
+        rng = np.random.default_rng(22)
+        cents = rng.random((16, 8)) * 255
+        cents[0] = cents[5]
+        pts = cents[5] + rng.random((300, 8)) * 1e-3
+        before = cents.copy()
+        before[[0, 1, 2, 3]] += 100.0
+        prev = clustering._assign(pts, before)
+        assert (prev.labels == 5).all()
+        got = clustering._assign(pts, cents, prev)
+        assert (got.labels == 0).all()
+        assert_same_as_full_pass(pts, before, cents)
+
+    def test_exact_tie_at_zero_margin(self, monkeypatch):
+        # at the origin with every centroid at zero the screening margin is
+        # 0, so only <= (not <) sends the tie with a lower index to a rescore
+        monkeypatch.setattr(clustering, "_CHUNK_BYTES", 8 * 8)
+        pts = np.zeros((20, 3))
+        before = np.zeros((8, 3))
+        before[0] = 5.0
+        prev = clustering._assign(pts, before)
+        assert (prev.labels == 1).all()
+        got = clustering._assign(pts, np.zeros((8, 3)), prev)
+        assert (got.labels == 0).all()
+
+    @pytest.mark.parametrize("k", [1023, 1024])
+    def test_half_the_centroids_moved(self, k):
+        # off a multiple of the BLAS column unroll, a cell's rounding depends
+        # on the rows beside it, so only k = 1024 takes the incremental path
+        rng = np.random.default_rng(k)
+        pts = rng.random((1024, 16)) * 255
+        cents = rng.random((k, 16)) * 255
+        after = cents.copy()
+        after[::2] += 1.0
+        assert_same_as_full_pass(pts, cents, after)
+
+    def test_nothing_moved(self, monkeypatch):
+        monkeypatch.setattr(clustering, "_CHUNK_BYTES", 8 * 8)
+        rng = np.random.default_rng(23)
+        pts = rng.random((30, 2))
+        cents = pts[:8].copy()
+        prev = clustering._assign(pts, cents)
+        got = clustering._assign(pts, cents.copy(), prev)
+        assert np.array_equal(got.labels, prev.labels)
+        assert np.array_equal(got.scores, prev.scores)
