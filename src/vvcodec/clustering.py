@@ -14,14 +14,14 @@ that cluster's current centroid, which keeps exactly k representatives
 alive. A descent stops when its labels repeat those of one or two iterations
 earlier, or after max_iterations.
 
-After a descent's first iteration the assignment is incremental and exact,
-by code vector activity detection (Kaukoranta, Franti & Nevalainen, IEEE
-TIP 9(8), 2000): a centroid whose bits did not change scores every point as
-before, so only the points whose own winner moved are rescored against all
-k centroids. Every other point is screened against the moved centroids
-alone and is rescored only if one of them comes within a rounding margin of
-its stored winning score. Likewise only the clusters whose members changed
-have their sums recomputed.
+Each assignment scores its stale points against all k centroids in one
+loop, in blocks with the shape of a full-pass chunk. On a descent's first
+iteration every point is stale. After it, by code vector activity detection
+(Kaukoranta, Franti & Nevalainen, IEEE TIP 9(8), 2000), a centroid whose
+bits did not change scores every point as before: a point is stale only if
+its own winner moved or a moved centroid, screened alone, comes within a
+rounding margin of its stored winning score. Likewise the first centroid
+update sums every cluster and later ones only those whose members changed.
 
 Rescoring gives the full pass's bits because of how the BLAS rounds, as
 measured on OpenBLAS 0.3.31: each cell of a product with the shape of one
@@ -30,8 +30,8 @@ fill it, when k is a multiple of 8. A block of another row count can round
 differently (one row goes through gemv; two rows at k=600, dim 64 take
 another kernel), and so can a subset of the columns, which is why the
 screen needs its margin. Off a multiple of 8 the last columns round by the
-row's place in the block, so those k, and levels whose whole score block
-fits in one chunk, take the full pass on every iteration.
+row's place in the block, so for those k, and for levels whose whole score
+block fits in one chunk, every point is stale on every iteration.
 """
 
 from __future__ import annotations
@@ -103,9 +103,12 @@ def _score_block(
     return scores
 
 
-def _winners(scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    labels = scores.argmin(axis=1)
-    return labels, scores[np.arange(len(labels)), labels]
+def _run(idx: np.ndarray) -> np.ndarray | slice:
+    """A slice over sorted, distinct indices when they are consecutive (as
+    in a full pass), so that indexing takes a view; else the indices."""
+    if len(idx) and idx[-1] - idx[0] == len(idx) - 1:
+        return slice(int(idx[0]), int(idx[-1]) + 1)
+    return idx
 
 
 def _screen_margin(
@@ -132,9 +135,9 @@ def _assign(
 
     Takes the argmin of 0.5*||c||^2 - p.c, which ranks centroids like
     ||p - c||^2, over row chunks whose score block fits in _CHUNK_BYTES.
-    Given the previous step ``prev``, it rescores only the points that a
-    moved centroid can reach, in blocks of a chunk's shape, and returns the
-    labels and scores the full pass would.
+    Given the previous step ``prev``, only the points that a moved centroid
+    can reach are stale and rescored; the labels and scores are those of
+    the full pass, in which every point is stale.
     """
     n, dim = points.shape
     k = len(centroids)
@@ -143,47 +146,43 @@ def _assign(
     if prev is None or rows >= n or k % _COLUMN_UNROLL:
         labels = np.empty(n, dtype=np.int64)
         best = np.empty(n, dtype=np.float64)
-        for start in range(0, n, rows):
-            chunk = slice(start, start + rows)
-            labels[chunk], best[chunk] = _winners(
-                _score_block(points[chunk], centroids, half_c2)
+        stale = np.ones(n, dtype=bool)
+    else:
+        labels = prev.labels.copy()
+        best = prev.scores.copy()
+        moved = (centroids != prev.centroids).any(axis=1)
+        if not moved.any():
+            return _Assignment(centroids, labels, best)
+        # an unmoved centroid scores the same bits as before, so the old
+        # winner is still the argmin among the unmoved ones; a point keeps it
+        # unless its winner moved or a moved centroid comes within the margin
+        # (<=, so a tie with a lower index is rescored)
+        stale = moved[labels]
+        cols = np.flatnonzero(moved)
+        moved_c, moved_h = centroids[cols], half_c2[cols]
+        keep = np.flatnonzero(~stale)
+        step = max(1, _CHUNK_BYTES // (8 * max(len(cols), dim)))
+        for start in range(0, len(keep), step):
+            idx = keep[start:start + step]
+            pts = points[idx]
+            limit = best[idx] + _screen_margin(
+                np.sqrt(np.einsum("ij,ij->i", pts, pts)), half_c2, dim
             )
-        return _Assignment(centroids, labels, best)
+            stale[idx] = _score_block(pts, moved_c, moved_h).min(axis=1) <= limit
 
-    labels = prev.labels.copy()
-    best = prev.scores.copy()
-    moved = (centroids != prev.centroids).any(axis=1)
-    if not moved.any():
-        return _Assignment(centroids, labels, best)
-
-    # an unmoved centroid scores the same bits as before, so the old winner
-    # is still the argmin among the unmoved ones; a point keeps it unless
-    # its winner moved or a moved centroid comes within the margin (<=, so a
-    # tie with a lower index is rescored)
-    stale = moved[labels]
-    cols = np.flatnonzero(moved)
-    moved_c, moved_h = centroids[cols], half_c2[cols]
-    keep = np.flatnonzero(~stale)
-    step = max(1, _CHUNK_BYTES // (8 * max(len(cols), dim)))
-    for start in range(0, len(keep), step):
-        idx = keep[start:start + step]
-        pts = points[idx]
-        limit = best[idx] + _screen_margin(
-            np.sqrt(np.einsum("ij,ij->i", pts, pts)), half_c2, dim
-        )
-        stale[idx] = _score_block(pts, moved_c, moved_h).min(axis=1) <= limit
-
-    # rescore in blocks shaped like the full pass's chunk that holds each
-    # row: a block of another row count can round differently (one row goes
-    # through gemv), so short blocks are padded by repeating their rows
+    # score the stale rows in blocks shaped like the full pass's chunk that
+    # holds each row: a block of another row count can round differently
+    # (one row goes through gemv), so short blocks are padded by repeating
+    # their rows
     redo = np.flatnonzero(stale)
     full = n - n % rows
     for group, size in ((redo[redo < full], rows), (redo[redo >= full], n - full)):
         for start in range(0, len(group), max(size, 1)):
-            idx = np.resize(group[start:start + size], size)
-            labels[idx], best[idx] = _winners(
-                _score_block(points[idx], centroids, half_c2)
-            )
+            idx = group[start:start + size]
+            idx = _run(idx) if len(idx) == size else np.resize(idx, size)
+            scores = _score_block(points[idx], centroids, half_c2)
+            win = scores.argmin(axis=1)
+            labels[idx], best[idx] = win, scores[np.arange(size), win]
     return _Assignment(centroids, labels, best)
 
 
@@ -212,8 +211,7 @@ def _lloyd(
     k = centroids.shape[0]
     recent: list[np.ndarray] = []  # labels of the last two iterations
     history: list[float] = []
-    labels = np.zeros(len(points), dtype=np.int64)
-    sse = float("inf")
+    sums = np.empty((k, points.shape[1]))
     step: _Assignment | None = None
     for _ in range(max_iterations):
         step = _assign(points, centroids, step)
@@ -229,19 +227,16 @@ def _lloyd(
             counts[labels[p]] -= 1
             labels[p] = j
             counts[j] = 1
+        # bincount adds each cluster's members in point order, so a cluster
+        # that kept its members keeps its sum bit for bit; the first update
+        # touches every cluster
+        touched = np.full(k, not recent)
         if recent:
-            # bincount adds each cluster's members in point order, so a
-            # cluster that kept its members keeps its sum bit for bit
             changed = labels != recent[0]
-            touched = np.zeros(k, dtype=bool)
             touched[labels[changed]] = True
             touched[recent[0][changed]] = True
-            members = np.flatnonzero(touched[labels])
-            sums[touched] = _label_sums(
-                points[members], labels[members], k
-            )[touched]
-        else:
-            sums = _label_sums(points, labels, k)
+        members = _run(np.flatnonzero(touched[labels]))
+        sums[touched] = _label_sums(points[members], labels[members], k)[touched]
         centroids = sums / np.maximum(counts, 1)[:, None]
         sse = float(((points - centroids[labels]) ** 2).sum())
         history.append(sse)
@@ -279,17 +274,16 @@ def kmeans(
             raise ValueError(
                 f"initial centroids must have shape ({opts.k}, {pts.shape[1]})"
             )
-        labels, cents, sse, history = _lloyd(pts, cents, opts.max_iterations)
-        return ClusterResult(labels + 1, cents, sse, history)
-
-    best: tuple[np.ndarray, np.ndarray, float, list[float]] | None = None
-    for restart in range(opts.restarts):
-        rng = np.random.default_rng([opts.seed & _SEED_MASK, restart])
-        idx = rng.choice(n, size=opts.k, replace=False)
-        result = _lloyd(pts, pts[idx], opts.max_iterations)
-        if best is None or result[2] < best[2]:
-            best = result
-    labels, cents, sse, history = best  # type: ignore[misc]
+        starts = [cents]
+    else:
+        rngs = (np.random.default_rng([opts.seed & _SEED_MASK, restart])
+                for restart in range(opts.restarts))
+        starts = (pts[rng.choice(n, size=opts.k, replace=False)] for rng in rngs)
+    # min keeps the earliest of equal SSEs
+    labels, cents, sse, history = min(
+        (_lloyd(pts, start, opts.max_iterations) for start in starts),
+        key=lambda result: result[2],
+    )
     return ClusterResult(labels + 1, cents, sse, history)
 
 

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bitpack import pack, unpack
-from .imaging import FormatError, PixelImage, downsample2x, row_keys
+from .imaging import MAX_DEPTH, FormatError, PixelImage, downsample2x, row_keys
 
 ALPHA_BITS = 4
 BETA_BITS = 9
@@ -73,6 +73,8 @@ class FbcParams:
         return 2 * self.small_size
 
     def check_side(self, side: int) -> None:
+        if side > 2 ** MAX_DEPTH:
+            raise ValueError(f"image side {side} exceeds {2 ** MAX_DEPTH}")
         if side % self.small_size or side % self.large_size:
             raise ValueError(
                 f"block sizes {self.small_size}/{self.large_size} do not "

@@ -110,6 +110,15 @@ class SkeletonMatrix:
         return self.entries.shape[1]
 
 
+def _child_types(s: SkeletonMatrix, types: np.ndarray, k: int) -> np.ndarray:
+    """Types of every child of nodes of the given types, read from column
+    k + 1 (1-based) in node then child order; a 0 read there raises."""
+    children = s.entries[(types - 1)[:, None] * s.m + np.arange(s.m), k].ravel()
+    if (children == 0).any():
+        raise ValueError(f"unused skeleton entry read in column {k + 1}")
+    return children
+
+
 @dataclass
 class LabelMatrix:
     """Per-level type -> system index functions; row k column t-1 holds the
@@ -214,10 +223,7 @@ def expand_skeleton(s: SkeletonMatrix, q: LabelMatrix) -> CodeTreeLevels:
             raise ValueError(f"unused label read at level {k}")
         levels.append(labels.astype(np.int64))
         if k < s.depth:
-            child_rows = (types - 1)[:, None] * s.m + np.arange(s.m)
-            types = s.entries[child_rows, k].ravel()
-            if (types == 0).any():
-                raise ValueError(f"unused skeleton entry read in column {k + 1}")
+            types = _child_types(s, types, k)
     return CodeTreeLevels(m=s.m, levels=levels)
 
 
@@ -259,21 +265,14 @@ def skeleton_to_code(
         raise ValueError(f"skeleton depth {s.depth} < requested depth {depth}")
     n0 = vvar.compute_n0(s.v, depth)
 
-    def child_types(types: np.ndarray, k: int) -> np.ndarray:
-        rows = (types - 1)[:, None] * 4 + np.arange(4)
-        children = s.entries[rows, k].ravel()
-        if (children == 0).any():
-            raise ValueError(f"unused skeleton entry read in column {k + 1}")
-        return children
-
     # types of level-(n0+1) nodes in address-lexicographic order
     first = np.array([s.root_type], dtype=np.int64)
     for k in range(n0 + 1):
-        first = child_types(first, k)
+        first = _child_types(s, first, k)
     # deeper levels only need the set of types that occur
     reached = first
     for k in range(n0 + 1, depth):
-        reached = child_types(np.unique(reached), k)
+        reached = _child_types(s, np.unique(reached), k)
 
     def table(k: int) -> np.ndarray:
         column = s.entries[:, k].copy()

@@ -29,6 +29,8 @@ _DIGIT_COL = (0, 0, 1, 1)
 
 _WHITESPACE = frozenset(b" \t\n\r\x0b\x0c")
 
+MAX_DEPTH = 12  # deepest quadtree either codec holds: a 4096 x 4096 image
+
 
 class FormatError(ValueError):
     """Raised for malformed or corrupt serialized data (PGM/VVC1/FBC1)."""

@@ -31,6 +31,7 @@ import numpy as np
 from .bitpack import pack, unpack
 from .clustering import ClusterOptions, canonicalize_labels, kmeans
 from .imaging import (
+    MAX_DEPTH,
     FormatError,
     PixelImage,
     QuadAddress,
@@ -41,7 +42,6 @@ from .imaging import (
 )
 
 MIN_DEPTH = 2
-MAX_DEPTH = 12
 
 MAGIC = b"VVC1"
 VERSION = 1
@@ -155,11 +155,8 @@ def encode(
             k=v, max_iterations=max_iterations, restarts=restarts,
             seed=seed + level,
         )
-        if init == "distinct":
-            result = kmeans(points, opts, initial_centroids=_distinct_rows(points, v))
-        else:
-            result = kmeans(points, opts)
-        return canonicalize_labels(result)
+        initial = _distinct_rows(points, v) if init == "distinct" else None
+        return canonicalize_labels(kmeans(points, opts, initial_centroids=initial))
 
     first = cluster(blocks_at_level(img, n0 + 1), n0 + 1)
     first_labels = first.labels.astype(np.int32)

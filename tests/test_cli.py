@@ -177,6 +177,22 @@ class TestFbcCommand:
         status, _, _ = run_cli(capsys, "fbc", bad, tmp_path / "y.pgm")
         assert status == 3
 
+    def test_too_deep_stream_refused_before_decoding(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        # a depth-13, s=128 stream: a well-formed header and payload length
+        def decode(*args, **kwargs):
+            raise AssertionError("a depth-13 stream reached the decoder")
+
+        monkeypatch.setattr(fbc, "fbc_decode", decode)
+        deep = tmp_path / "deep.fbc"
+        deep.write_bytes(fbc.MAGIC + bytes([fbc.VERSION, 13, 128]) + bytes(11776))
+        out_pgm = tmp_path / "deep.pgm"
+        status, _, err = run_cli(capsys, "fbc", deep, out_pgm)
+        assert status == 3
+        assert "exceeds 4096" in err
+        assert not out_pgm.exists()
+
 
 class TestPsnrCommand:
     def test_identical(self, capsys, small_image_path, tmp_path):

@@ -111,6 +111,26 @@ class TestKmeans:
         )
         assert res.labels.tolist() == [1, 3, 2]
 
+    def test_equal_sse_restarts_keep_the_earliest(self):
+        # every restart reaches {0, 1} | {10, 11} at SSE 1.0, under either
+        # numbering; the result must be the earliest restart's descent
+        pts = np.array([[0.0], [1.0], [10.0], [11.0]])
+        opts = ClusterOptions(k=2, seed=5)
+        descents = [
+            kmeans(pts, ClusterOptions(k=2), initial_centroids=pts[
+                np.random.default_rng([opts.seed, restart])
+                .choice(len(pts), size=opts.k, replace=False)
+            ])
+            for restart in range(opts.restarts)
+        ]
+        assert {d.sse for d in descents} == {1.0}
+        first, last = descents[0], descents[-1]
+        assert first.labels.tolist() != last.labels.tolist()
+        res = kmeans(pts, opts)
+        assert np.array_equal(res.labels, first.labels)
+        assert np.array_equal(res.centroids, first.centroids)
+        assert res.sse_history == first.sse_history
+
     def test_period_two_cycle_ends(self):
         # duplicate initial centroids leave an empty cluster whose repair
         # flips labels between two equal-SSE states on every iteration

@@ -222,6 +222,12 @@ class TestEncode:
             params.check_side(img.side)
             fbc.fbc_encode(img, params)
 
+    def test_side_beyond_the_codec_range_refused(self):
+        params = fbc.FbcParams(128)
+        params.check_side(4096)
+        with pytest.raises(ValueError, match="exceeds 4096"):
+            params.check_side(8192)
+
     def test_bad_small_size(self):
         with pytest.raises(ValueError):
             fbc.FbcParams(7)
@@ -342,3 +348,14 @@ class TestSerialization:
         payload = pack(fields, [0, fbc.ALPHA_BITS, fbc.BETA_BITS])
         with pytest.raises(FormatError):
             fbc.deserialize(header + payload)
+
+    def test_depth_beyond_the_codec_range_refused(self):
+        # depth 13 at s=128: 4096 entries of 10 + 4 + 9 bits, 11783 bytes
+        # in all, whose decode would need 8192 x 8192 float64 planes
+        blob = fbc.MAGIC + bytes([fbc.VERSION, 13, 128]) + bytes(4096 * 23 // 8)
+        assert len(blob) == 11783
+        with pytest.raises(FormatError, match="exceeds 4096"):
+            fbc.deserialize(blob)
+        # depth 12 is the deepest accepted: 1024 entries of 8 + 4 + 9 bits
+        deepest = fbc.MAGIC + bytes([fbc.VERSION, 12, 128]) + bytes(1024 * 21 // 8)
+        assert fbc.deserialize(deepest).depth == 12
