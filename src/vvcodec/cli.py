@@ -56,7 +56,6 @@ def cmd_vv_encode(args: argparse.Namespace) -> int:
     if args.v < 1:
         raise _UsageError("--v must be >= 1")
     img = _load_image(args.input)
-    vvar.compute_n0(args.v, img.depth)  # validates V against the image depth
     code = vvar.encode(img, args.v, seed=args.seed, restarts=args.restarts)
     blob = vvar.serialize(code)
     _write_atomic(args.output, blob)
@@ -80,7 +79,6 @@ def cmd_fbc(args: argparse.Namespace) -> int:
             raise _UsageError("--small is required when encoding")
         img = load_pgm(data)
         params = fbc.FbcParams(args.small, args.iters)
-        params.check_side(img.side)
         code = fbc.fbc_encode(img, params)
         _write_atomic(args.output, fbc.serialize(code))
         payload = (fbc.fbc_payload_bits(code) + 7) // 8

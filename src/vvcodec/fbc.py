@@ -15,10 +15,10 @@ centered sum of squares. Each row's upper bound ub is the exact error of a
 few candidate blocks. A cell is skipped only when its lower bound exceeds ub
 plus a margin derived from the magnitudes (see _ERR_SLACK), so the winner
 and every cell tied with it survive. Stage two runs the exact error
-expressions over the union of the surviving columns of consecutive row
-tiles, in five scratch buffers of at most _TILE_CELLS float64 cells each, so
-memory does not grow with the image, and the output is bit for bit that of
-the full scan.
+expressions, one row tile at a time, over the union of the columns that
+survive for any of the tile's rows, in five scratch buffers of at most
+_TILE_CELLS float64 cells each, so memory does not grow with the image, and
+the output is bit for bit that of the full scan.
 """
 
 from __future__ import annotations
@@ -35,7 +35,12 @@ BETA_BITS = 9
 _VAR_EPS = 1e-6  # guards alpha against roundoff on constant domain blocks
 # q * _ALPHA_STEP - 1 equals alpha_value(q) bit for bit on the 16 levels
 _ALPHA_STEP = 1.0 / 7.5
-_TILE_CELLS = 1 << 15  # float64 cells per search buffer: 256 KiB, fits in L2
+# float64 cells per search buffer (1 MiB); it sets the rows of a tile in
+# both stages. Larger tiles spread each tile's calls over more rows, but
+# every row of a tile pays for the union of its rows' columns. On image B
+# (2-core Xeon, numpy 2.4, OpenBLAS 0.3.31) 2^16 ran s=4, the costliest
+# size, ~1.2x slower, and 2^18 ran s=8 ~1.15x slower.
+_TILE_CELLS = 1 << 17
 # The search skips a cell only when a lower bound on its exact error exceeds
 # ub, the least computed error of its row's candidates, plus n * _ERR_SLACK.
 # The winner's computed error is at most ub, so it and every cell tied with
@@ -65,6 +70,8 @@ class FbcParams:
         s = self.small_size
         if s < 2 or s & (s - 1):
             raise ValueError(f"small block size {s} is not a power of two >= 2")
+        if s > 128:  # the largest power of two in FBC1's size byte
+            raise ValueError(f"small block size {s} exceeds 128")
         if self.decode_iterations < 1:
             raise ValueError("decode_iterations must be >= 1")
 
@@ -285,52 +292,14 @@ def _least_errors(small, large, cand, row_consts, col_consts, n) -> np.ndarray:
     return least
 
 
-def _survivor_groups(unit_small, unit_large_t, by_sd, floor, cand, rows):
-    """Yield (first row, end row, sorted domain indices) for the exact search.
-
-    Tile t keeps the domains whose rho^2 reaches the floor of one of its
-    rows, plus its rows' candidates. Consecutive tiles share one group while
-    the group's rows times its domains fit in the rows * n_large cells of the
-    search buffers.
-    """
-    n_small, n_large = len(unit_small), len(by_sd)
-    rho = np.empty((rows, n_large), dtype=np.float32)
-    keep = np.empty((rows, n_large), dtype=bool)
-    tile_union, group, merged = np.zeros((3, n_large), dtype=bool)
-    g0 = 0
-    for start in range(0, n_small, rows):
-        stop = min(start + rows, n_small)
-        if floor[start:stop].min() <= 0.0:  # a row that no rho can rule out
-            tile_union.fill(True)
-        else:
-            tile_union.fill(False)
-            band, hits = rho[: stop - start], keep[: stop - start]
-            np.matmul(unit_small[start:stop], unit_large_t, out=band)
-            np.square(band, out=band)
-            np.greater_equal(band, floor[start:stop, None], out=hits)
-            tile_union[by_sd[hits.any(axis=0)]] = True
-        tile_union[cand[:, start:stop]] = True
-        np.logical_or(group, tile_union, out=merged)
-        if start > g0 and (stop - g0) * np.count_nonzero(merged) > rows * n_large:
-            yield g0, start, np.flatnonzero(group)
-            g0 = start
-            group, tile_union = tile_union, group
-        else:
-            group, merged = merged, group
-    yield g0, n_small, np.flatnonzero(group)
-
-
 def _search_columns(small, large_t, cols, row_consts, col_consts, n, bufs, out):
     """Write each row's best (domain, q_alpha, q_beta) over the domains
     `cols` into out, ties to the lowest index; bufs are five flat scratch
     buffers of at least len(small) * len(cols) cells."""
     r, k = len(small), len(cols)
     cross, aq, b_int, err, tmp = (buf[: r * k].reshape(r, k) for buf in bufs)
-    if k == large_t.shape[1]:
-        np.matmul(small, large_t, out=cross)
-    else:
-        np.matmul(small, large_t[:, cols], out=cross)
-        col_consts = tuple(c[cols] for c in col_consts)
+    np.matmul(small, large_t[:, cols], out=cross)
+    col_consts = tuple(c[cols] for c in col_consts)
     _collage_errors(cross, row_consts, col_consts, n, aq, b_int, err, tmp)
     best = err.argmin(axis=1)
     at = np.arange(r), best
@@ -382,15 +351,30 @@ def fbc_encode(img: PixelImage, params: FbcParams) -> FbcCode:
     with np.errstate(divide="ignore"):
         floor = ((1.0 - ub / sss) - _rho2_slack(n)).astype(np.float32)
 
-    # stage two: the exact search over each group's surviving domains
+    # stage two: the exact search over each tile's surviving domains, those
+    # whose rho^2 reaches the floor of one of its rows, and its candidates
     large_t = np.ascontiguousarray(large.T)
     bufs = np.empty((5, rows * n_large))
+    rho = np.empty((rows, n_large), dtype=np.float32)
+    hits = np.empty((rows, n_large), dtype=bool)
+    keep = np.empty(n_large, dtype=bool)
     found = np.empty((n_small, 3), dtype=np.int32)
-    groups = _survivor_groups(unit_small, unit_large_t, by_sd, floor, cand, rows)
-    for g0, g1, cols in groups:
+    for start in range(0, n_small, rows):
+        stop = min(start + rows, n_small)
+        if floor[start:stop].min() <= 0.0:  # a row that no rho can rule out
+            keep.fill(True)
+        else:
+            band, hit = rho[: stop - start], hits[: stop - start]
+            np.matmul(unit_small[start:stop], unit_large_t, out=band)
+            np.square(band, out=band)
+            np.greater_equal(band, floor[start:stop, None], out=hit)
+            keep.fill(False)
+            keep[by_sd[hit.any(axis=0)]] = True
+        keep[cand[:, start:stop]] = True
         _search_columns(
-            small[g0:g1], large_t, cols, tuple(c[g0:g1, None] for c in row_consts),
-            col_consts, n, bufs, found[g0:g1],
+            small[start:stop], large_t, np.flatnonzero(keep),
+            tuple(c[start:stop, None] for c in row_consts), col_consts, n,
+            bufs, found[start:stop],
         )
     return FbcCode(img.depth, s, found[where])
 
@@ -412,11 +396,9 @@ def apply_block_transform(code: FbcCode, plane: np.ndarray) -> np.ndarray:
 
 
 def fbc_decode(
-    code: FbcCode,
-    params: FbcParams | None = None,
-    init: PixelImage | float = 128.0,
+    code: FbcCode, params: FbcParams | None = None, init: float = 128.0
 ) -> PixelImage:
-    """Iterate the block transform from `init` (default flat 128).
+    """Iterate the block transform from a flat plane of value `init`.
 
     Arithmetic stays real-valued across passes; rounding and clamping to
     0..255 happen once at the end.
@@ -427,12 +409,7 @@ def fbc_decode(
     if params.small_size != code.small_size:
         raise ValueError("params.small_size does not match the code")
     side = 2 ** code.depth
-    if isinstance(init, PixelImage):
-        if init.depth != code.depth:
-            raise ValueError("init image depth does not match the code")
-        current = init.data.astype(np.float64)
-    else:
-        current = np.full((side, side), float(init))
+    current = np.full((side, side), float(init))
     for _ in range(params.decode_iterations):
         current = apply_block_transform(code, current)
     return PixelImage.from_real(current)
@@ -456,8 +433,6 @@ def serialize(code: FbcCode) -> bytes:
     alpha 4 bits, beta 9 bits), zero-padded to a byte boundary.
     """
     code.validate()
-    if code.small_size > 255:
-        raise ValueError("FBC1 stores the small block size in one byte")
     header = MAGIC + bytes([VERSION, code.depth, code.small_size])
     widths = [index_bits(code.n_large), ALPHA_BITS, BETA_BITS]
     return header + pack(code.entries, widths)
@@ -476,15 +451,12 @@ def deserialize(data: bytes) -> FbcCode:
         FbcParams(s).check_side(2 ** depth)
     except ValueError as exc:
         raise FormatError(str(exc)) from None
-    n_small = (2 ** depth // s) ** 2
-    n_large = (2 ** depth // (2 * s)) ** 2
-    ibits = index_bits(n_large)
-    expected = HEADER_BYTES + (n_small * (ibits + ALPHA_BITS + BETA_BITS) + 7) // 8
+    code = FbcCode(depth, s, np.empty((0, 3), np.int32))
+    widths = [index_bits(code.n_large), ALPHA_BITS, BETA_BITS]
+    expected = HEADER_BYTES + (code.n_small * sum(widths) + 7) // 8
     if len(data) != expected:
         raise FormatError(f"stream has {len(data)} bytes, expected {expected}")
-    entries, _ = unpack(data[HEADER_BYTES:], n_small, [ibits, ALPHA_BITS, BETA_BITS])
-    if (entries[:, 0] >= n_large).any():
-        raise FormatError("large block index out of range")
-    if (entries[:, 2] > 510).any():
-        raise FormatError("quantized beta out of range 0..510")
-    return FbcCode(depth, s, entries.astype(np.int32))
+    entries, _ = unpack(data[HEADER_BYTES:], code.n_small, widths)
+    code.entries = entries.astype(np.int32)
+    code.validate()
+    return code

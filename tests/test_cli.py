@@ -193,6 +193,20 @@ class TestFbcCommand:
         assert "exceeds 4096" in err
         assert not out_pgm.exists()
 
+    def test_small_beyond_the_size_byte_refused_before_encoding(
+        self, capsys, image_a_path, tmp_path, monkeypatch
+    ):
+        # 256/512 blocks divide a 512 side, but FBC1 stores the size in a byte
+        def encode(*args, **kwargs):
+            raise AssertionError("an unstorable block size reached the encoder")
+
+        monkeypatch.setattr(fbc, "fbc_encode", encode)
+        out_fbc = tmp_path / "big.fbc"
+        status, _, err = run_cli(capsys, "fbc", image_a_path, out_fbc, "--small", 256)
+        assert status == 1
+        assert "exceeds 128" in err
+        assert not out_fbc.exists()
+
 
 class TestPsnrCommand:
     def test_identical(self, capsys, small_image_path, tmp_path):

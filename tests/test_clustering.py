@@ -371,6 +371,39 @@ class TestIncrementalAssign:
             moved[j] += 1e-3
             assert_same_as_full_pass(pts, cents, moved)
 
+    def test_tail_chunk_point_rescored_in_the_tail_shape(self, monkeypatch):
+        # 200 points in chunks of 16 rows end in an 8-row chunk; centroid 3
+        # alone owns the far point 197 there, and moving it makes that point
+        # the only stale one: it must be scored in a block of 8 rows, the
+        # shape the full pass gives its chunk
+        k, rows, n = 16, 16, 200
+        monkeypatch.setattr(clustering, "_CHUNK_BYTES", rows * 8 * k)
+        rng = np.random.default_rng(24)
+        pts = rng.random((n, 4)) * 10
+        pts[197] = 1000.0
+        cents = pts[rng.choice(n - 8, k, replace=False)]
+        cents[3] = pts[197] + 0.5
+        prev = clustering._assign(pts, cents)
+        assert np.flatnonzero(prev.labels == 3).tolist() == [197]
+        moved = cents.copy()
+        moved[3] += 0.25
+
+        blocks = []
+        score_block = clustering._score_block
+
+        def spy(points, centroids, half_c2):
+            if len(centroids) == k:
+                blocks.append(points.copy())
+            return score_block(points, centroids, half_c2)
+
+        monkeypatch.setattr(clustering, "_score_block", spy)
+        got = clustering._assign(pts, moved, prev)
+        monkeypatch.setattr(clustering, "_score_block", score_block)
+        assert [len(b) for b in blocks] == [n - n // rows * rows]
+        assert (blocks[0] == pts[197]).all(axis=1).any()
+        assert got.labels[197] == 3
+        assert_same_as_full_pass(pts, cents, moved)
+
     def test_two_points_to_rescore(self):
         # a 2-row block at k=600, dim 64 also rounds unlike a chunk
         rng = np.random.default_rng(0)

@@ -233,6 +233,9 @@ class TestEncode:
             fbc.FbcParams(7)
         with pytest.raises(ValueError):
             fbc.FbcParams(1)
+        # FBC1 stores the size in one byte
+        with pytest.raises(ValueError, match="exceeds 128"):
+            fbc.FbcParams(256)
 
 
 class TestDecode:
