@@ -15,23 +15,16 @@ alive. A descent stops when its labels repeat those of one or two iterations
 earlier, or after max_iterations.
 
 Each assignment scores its stale points against all k centroids in one
-loop, in blocks with the shape of a full-pass chunk. On a descent's first
+loop, in blocks of at most one chunk's rows. On a descent's first
 iteration every point is stale. After it, by code vector activity detection
 (Kaukoranta, Franti & Nevalainen, IEEE TIP 9(8), 2000), a centroid whose
 bits did not change scores every point as before: a point is stale only if
 its own winner moved or a moved centroid, screened alone, comes within a
-rounding margin of its stored winning score. Likewise the first centroid
-update sums every cluster and later ones only those whose members changed.
-
-Rescoring gives the full pass's bits because of how the BLAS rounds, as
-measured on OpenBLAS 0.3.31: each cell of a product with the shape of one
-chunk (the same row count and all k columns) rounds the same whatever rows
-fill it, when k is a multiple of 8. A block of another row count can round
-differently (one row goes through gemv; two rows at k=600, dim 64 take
-another kernel), and so can a subset of the columns, which is why the
-screen needs its margin. Off a multiple of 8 the last columns round by the
-row's place in the block, so for those k, and for levels whose whole score
-block fits in one chunk, every point is stale on every iteration.
+rounding margin of its stored winning score. A rescored label stands if it
+wins its row by more than that margin, else its chunk is scored whole as in
+the full pass, so the labels are the full pass's on any BLAS kernel.
+Likewise the first centroid update sums every cluster and later ones only
+those whose members changed.
 """
 
 from __future__ import annotations
@@ -81,14 +74,11 @@ class ClusterResult:
 # float64 scratch per assignment chunk: bounds the n x k score block
 _CHUNK_BYTES = 2 << 20
 
-# the incremental assignment needs k to be a multiple of this: the column
-# unroll of the OpenBLAS dgemm kernels (see the module docstring)
-_COLUMN_UNROLL = 8
-
 
 class _Assignment(NamedTuple):
     """One assignment step: the centroids it scored, each point's argmin
-    label before any empty-cluster repair, and that label's score."""
+    label before any empty-cluster repair, and that label's score, within
+    the screening margin of the full pass's."""
 
     centroids: np.ndarray
     labels: np.ndarray
@@ -111,18 +101,21 @@ def _run(idx: np.ndarray) -> np.ndarray | slice:
     return idx
 
 
-def _screen_margin(
-    pnorm: np.ndarray, half_c2: np.ndarray, dim: int
-) -> np.ndarray:
-    # A screened score and the score of the same cell in a full block are
-    # both h - p.c with the same h = 0.5*||c||^2; their dot products add the
-    # same dim products in different orders, so each is within dim*u*|p||c|
-    # of exact (u = 2^-53), and each subtraction adds u*|h - p.c|. They
-    # differ by at most 2*(dim + 1)*u*(|p|*cmax + hmax), with cmax and hmax
-    # the largest norm and half squared norm of any centroid, which also
-    # bounds the rounding of winner + margin. (dim + 2) * 2^-51 leaves 2x
-    # headroom; a wider margin only costs rescored rows.
+def _screen_margin(points: np.ndarray, half_c2: np.ndarray) -> np.ndarray:
+    # Two computations of one score h - p.c (h = 0.5*||c||^2, the same bits
+    # in both) add the same dim products in different orders, so each is
+    # within dim*u*|p||c| of exact (u = 2^-53; Higham 2002, section 3.1),
+    # and the subtraction adds u*|h - p.c|. They differ by at most
+    # D = 2*(dim + 1)*u*X, X = |p|*cmax + hmax, with cmax and hmax the
+    # largest norm and half squared norm of any centroid. A stored score and
+    # a screened or rescored one may each be D off the full pass's bits, so
+    # a gap over 2*D between two of them is a strict gap in the full pass;
+    # (dim + 2) * 2^-51 * X = 2*D + 4*u*X also covers the rounding of
+    # winner + margin and of the margin itself. A wider margin only costs
+    # rescored rows.
+    dim = points.shape[1]
     hmax = float(half_c2.max())
+    pnorm = np.sqrt(np.einsum("ij,ij->i", points, points))
     return (dim + 2) * 2.0 ** -51 * (pnorm * np.sqrt(2.0 * hmax) + hmax)
 
 
@@ -136,14 +129,14 @@ def _assign(
     Takes the argmin of 0.5*||c||^2 - p.c, which ranks centroids like
     ||p - c||^2, over row chunks whose score block fits in _CHUNK_BYTES.
     Given the previous step ``prev``, only the points that a moved centroid
-    can reach are stale and rescored; the labels and scores are those of
-    the full pass, in which every point is stale.
+    can reach are stale and rescored; on any BLAS kernel the labels are
+    those of the full pass, in which every point is stale.
     """
     n, dim = points.shape
     k = len(centroids)
     half_c2 = 0.5 * np.einsum("ij,ij->i", centroids, centroids)
     rows = max(1, _CHUNK_BYTES // (8 * k))
-    if prev is None or rows >= n or k % _COLUMN_UNROLL:
+    if prev is None:
         labels = np.empty(n, dtype=np.int64)
         best = np.empty(n, dtype=np.float64)
         stale = np.ones(n, dtype=bool)
@@ -153,10 +146,11 @@ def _assign(
         moved = (centroids != prev.centroids).any(axis=1)
         if not moved.any():
             return _Assignment(centroids, labels, best)
-        # an unmoved centroid scores the same bits as before, so the old
-        # winner is still the argmin among the unmoved ones; a point keeps it
-        # unless its winner moved or a moved centroid comes within the margin
-        # (<=, so a tie with a lower index is rescored)
+        # an unmoved centroid keeps its full-pass bits, so the old label, the
+        # full pass's, is still the argmin among the unmoved ones; a point
+        # keeps it unless its winner moved or a moved centroid comes within
+        # the margin (<=, so a tie with a lower index is rescored)
+        margin = _screen_margin(points, half_c2)
         stale = moved[labels]
         cols = np.flatnonzero(moved)
         moved_c, moved_h = centroids[cols], half_c2[cols]
@@ -164,25 +158,27 @@ def _assign(
         step = max(1, _CHUNK_BYTES // (8 * max(len(cols), dim)))
         for start in range(0, len(keep), step):
             idx = keep[start:start + step]
-            pts = points[idx]
-            limit = best[idx] + _screen_margin(
-                np.sqrt(np.einsum("ij,ij->i", pts, pts)), half_c2, dim
-            )
-            stale[idx] = _score_block(pts, moved_c, moved_h).min(axis=1) <= limit
+            scores = _score_block(points[idx], moved_c, moved_h)
+            stale[idx] = scores.min(axis=1) <= best[idx] + margin[idx]
 
-    # score the stale rows in blocks shaped like the full pass's chunk that
-    # holds each row: a block of another row count can round differently
-    # (one row goes through gemv), so short blocks are padded by repeating
-    # their rows
+    # score the stale rows in blocks of at most a chunk's rows; when some
+    # rows were kept, a block need not be a chunk and can round unlike the
+    # full pass, so a label stands only if it wins its row by more than the
+    # margin, and each chunk holding a row that does not is then scored whole
     redo = np.flatnonzero(stale)
-    full = n - n % rows
-    for group, size in ((redo[redo < full], rows), (redo[redo >= full], n - full)):
-        for start in range(0, len(group), max(size, 1)):
-            idx = group[start:start + size]
-            idx = _run(idx) if len(idx) == size else np.resize(idx, size)
-            scores = _score_block(points[idx], centroids, half_c2)
-            win = scores.argmin(axis=1)
-            labels[idx], best[idx] = win, scores[np.arange(size), win]
+    whole = len(redo) == n
+    while len(redo):
+        unsure = np.zeros(-(-n // rows), dtype=bool)
+        for start in range(0, len(redo), rows):
+            idx = redo[start:start + rows]
+            scores = _score_block(points[_run(idx)], centroids, half_c2)
+            at, win = np.arange(len(idx)), scores.argmin(axis=1)
+            labels[idx], best[idx] = win, scores[at, win]
+            if not whole:
+                scores[at, win] = np.inf
+                fail = scores.min(axis=1) <= best[idx] + margin[idx]
+                unsure[idx[fail] // rows] = True
+        redo, whole = np.flatnonzero(np.repeat(unsure, rows)[:n]), True
     return _Assignment(centroids, labels, best)
 
 

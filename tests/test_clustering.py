@@ -1,5 +1,10 @@
 import itertools
+import os
+import platform
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -315,13 +320,18 @@ def assert_same_as_full_pass(points, prev_centroids, centroids):
     got = clustering._assign(points, centroids, prev)
     want = clustering._assign(points, centroids)
     assert np.array_equal(got.labels, want.labels)
-    assert np.array_equal(got.scores, want.scores)
+    # a score rescored in a block that is not a whole chunk may round unlike
+    # the full pass's
+    half_c2 = 0.5 * np.einsum("ij,ij->i", centroids, centroids)
+    margin = clustering._screen_margin(points, half_c2)
+    assert (np.abs(got.scores - want.scores) <= margin).all()
     assert np.array_equal(want.labels, full_assign(points, centroids))
 
 
 class TestIncrementalAssign:
     """Lloyd's assignment rescores only the points a moved centroid can
-    reach; it must give the labels and scores of the full pass."""
+    reach; it must give the full pass's labels, and scores within the
+    screening margin of the full pass's."""
 
     @pytest.mark.parametrize("rows", [1, 3, 16])
     @pytest.mark.parametrize("k", [16, 24, 13])
@@ -360,8 +370,8 @@ class TestIncrementalAssign:
 
     def test_one_point_to_rescore(self):
         # one centroid moves, and it is the winner of exactly one point:
-        # that point alone is rescored, in a block of a chunk's shape (one
-        # row would go through gemv and round differently)
+        # that point alone is rescored, in a one-row block (which can go
+        # through gemv and round unlike its chunk)
         rng = np.random.default_rng(21)
         pts = rng.random((300, 16)) * 255
         cents = rng.random((1024, 16)) * 255
@@ -371,22 +381,22 @@ class TestIncrementalAssign:
             moved[j] += 1e-3
             assert_same_as_full_pass(pts, cents, moved)
 
-    def test_tail_chunk_point_rescored_in_the_tail_shape(self, monkeypatch):
-        # 200 points in chunks of 16 rows end in an 8-row chunk; centroid 3
-        # alone owns the far point 197 there, and moving it makes that point
-        # the only stale one: it must be scored in a block of 8 rows, the
-        # shape the full pass gives its chunk
+    def test_exact_tie_scores_its_chunk_whole(self, monkeypatch):
+        # 200 points in chunks of 16 rows; centroid 3 wins the far points 37
+        # and 150 alone and moves to tie exactly with centroid 5 at point 37:
+        # both are rescored in one 2-row block, where 37 cannot be certified,
+        # so its chunk (rows 32..47) is scored whole, and 150's is not
         k, rows, n = 16, 16, 200
         monkeypatch.setattr(clustering, "_CHUNK_BYTES", rows * 8 * k)
         rng = np.random.default_rng(24)
-        pts = rng.random((n, 4)) * 10
-        pts[197] = 1000.0
-        cents = pts[rng.choice(n - 8, k, replace=False)]
-        cents[3] = pts[197] + 0.5
+        pts = rng.integers(0, 10, (n, 2)).astype(np.float64)
+        pts[37], pts[150] = (1000.0, 0.0), (999.0, 0.0)
+        cents = pts[rng.choice(30, k, replace=False)]
+        cents[3], cents[5] = (1000.5, 0.0), (1002.0, 0.0)
         prev = clustering._assign(pts, cents)
-        assert np.flatnonzero(prev.labels == 3).tolist() == [197]
+        assert np.flatnonzero(prev.labels == 3).tolist() == [37, 150]
         moved = cents.copy()
-        moved[3] += 0.25
+        moved[3] = (998.0, 0.0)
 
         blocks = []
         score_block = clustering._score_block
@@ -399,13 +409,16 @@ class TestIncrementalAssign:
         monkeypatch.setattr(clustering, "_score_block", spy)
         got = clustering._assign(pts, moved, prev)
         monkeypatch.setattr(clustering, "_score_block", score_block)
-        assert [len(b) for b in blocks] == [n - n // rows * rows]
-        assert (blocks[0] == pts[197]).all(axis=1).any()
-        assert got.labels[197] == 3
+        assert [len(b) for b in blocks] == [2, rows]
+        assert np.array_equal(blocks[0], pts[[37, 150]])
+        assert np.array_equal(blocks[1], pts[32:48])
+        assert got.labels[[37, 150]].tolist() == [3, 3]
+        assert np.array_equal(got.labels, full_assign(pts, moved))
         assert_same_as_full_pass(pts, cents, moved)
 
     def test_two_points_to_rescore(self):
-        # a 2-row block at k=600, dim 64 also rounds unlike a chunk
+        # a 2-row block at k=600, dim 64 can round unlike its chunks (it
+        # does on OpenBLAS's SSE-only kernels)
         rng = np.random.default_rng(0)
         pts = rng.random((1000, 64)) * 255
         cents = rng.random((600, 64)) * 255
@@ -447,8 +460,9 @@ class TestIncrementalAssign:
 
     @pytest.mark.parametrize("k", [1023, 1024])
     def test_half_the_centroids_moved(self, k):
-        # off a multiple of the BLAS column unroll, a cell's rounding depends
-        # on the rows beside it, so only k = 1024 takes the incremental path
+        # k = 1023 is off the 8-column unroll of OpenBLAS's dgemm kernels,
+        # where a cell can round by its row's place in the block; it takes
+        # the incremental path like k = 1024, certified like any k
         rng = np.random.default_rng(k)
         pts = rng.random((1024, 16)) * 255
         cents = rng.random((k, 16)) * 255
@@ -465,3 +479,28 @@ class TestIncrementalAssign:
         got = clustering._assign(pts, cents.copy(), prev)
         assert np.array_equal(got.labels, prev.labels)
         assert np.array_equal(got.scores, prev.scores)
+
+
+TESTS_DIR = Path(__file__).resolve().parent
+
+
+@pytest.mark.skipif(
+    platform.machine().lower() not in ("x86_64", "amd64"),
+    reason="OpenBLAS's SSE-only kernels run on x86-64 only",
+)
+@pytest.mark.parametrize("core", ["Prescott", "Nehalem"])
+def test_incremental_labels_on_sse_only_blas_kernels(core):
+    """The assignment tests pass whatever dgemm kernel OpenBLAS picks: these
+    two round some short blocks unlike a chunk of the full pass."""
+    # this test's name must not match "Assign", or the subprocess runs it
+    path = os.pathsep.join(
+        [str(TESTS_DIR.parent / "src"), str(TESTS_DIR), os.environ.get("PYTHONPATH", "")]
+    )
+    env = dict(os.environ, OPENBLAS_CORETYPE=core, PYTHONPATH=path)
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         str(TESTS_DIR / "test_clustering.py"), "-k", "Assign"],
+        capture_output=True, text=True, env=env, cwd=TESTS_DIR.parent,
+        timeout=600,
+    )
+    assert proc.returncode == 0, proc.stdout[-4000:] + proc.stderr[-2000:]
