@@ -14,17 +14,20 @@ that cluster's current centroid, which keeps exactly k representatives
 alive. A descent stops when its labels repeat those of one or two iterations
 earlier, or after max_iterations.
 
-Each assignment scores its stale points against all k centroids in one
-loop, in blocks of at most one chunk's rows. On a descent's first
-iteration every point is stale. After it, by code vector activity detection
-(Kaukoranta, Franti & Nevalainen, IEEE TIP 9(8), 2000), a centroid whose
-bits did not change scores every point as before: a point is stale only if
-its own winner moved or a moved centroid, screened alone, comes within a
-rounding margin of its stored winning score. A rescored label stands if it
-wins its row by more than that margin, else its chunk is scored whole as in
-the full pass, so the labels are the full pass's on any BLAS kernel.
-Likewise the first centroid update sums every cluster and later ones only
-those whose members changed.
+A level that fits in one chunk is scored whole on every iteration; a
+larger one only where it can change. On a descent's first iteration every
+point is stale. After it, by code vector activity detection (Kaukoranta,
+Franti & Nevalainen, IEEE TIP 9(8), 2000), a centroid whose bits did not
+change scores every point as before: a point is stale only if its own
+winner moved or a moved centroid, screened alone, comes within a rounding
+margin of its stored winning score. Stale points are scored against the
+window of centroids that the equal-average bound dim*(mean_p - mean_c)^2 <=
+||p - c||^2 leaves (Guan & Kamel, Pattern Recognition Letters 13(10), 1992;
+Ra & Kim, IEEE TCAS-II 40(9), 1993). A label stands if it wins its window
+by more than the margin, else its chunk is scored whole as in the full
+pass, so the labels are the full pass's on any BLAS kernel. Likewise the
+first centroid update sums every cluster and later ones only those whose
+members changed.
 """
 
 from __future__ import annotations
@@ -74,15 +77,26 @@ class ClusterResult:
 # float64 scratch per assignment chunk: bounds the n x k score block
 _CHUNK_BYTES = 2 << 20
 
+# rows per window tile: fewer rows give narrower windows, more give fewer
+# and larger BLAS calls. Replaying the V=1024 levels of image A (2-core
+# Xeon, OpenBLAS 0.3.31), 64-row tiles took 1.16x the time of 128-row ones,
+# and 256-row ones the same time for 1.2x the cells scored
+_TILE_ROWS = 128
+
 
 class _Assignment(NamedTuple):
     """One assignment step: the centroids it scored, each point's argmin
     label before any empty-cluster repair, and that label's score, within
-    the screening margin of the full pass's."""
+    the screening margin of the full pass's; then, fixed for a descent of a
+    level larger than one chunk, the points' squared norms and means, and
+    their indices sorted by mean."""
 
     centroids: np.ndarray
     labels: np.ndarray
     scores: np.ndarray
+    p2: np.ndarray | None = None
+    means: np.ndarray | None = None
+    order: np.ndarray | None = None
 
 
 def _score_block(
@@ -95,17 +109,21 @@ def _score_block(
 
 def _run(idx: np.ndarray) -> np.ndarray | slice:
     """A slice over sorted, distinct indices when they are consecutive (as
-    in a full pass), so that indexing takes a view; else the indices."""
+    in a first centroid update), so that indexing takes a view; else the
+    indices."""
     if len(idx) and idx[-1] - idx[0] == len(idx) - 1:
         return slice(int(idx[0]), int(idx[-1]) + 1)
     return idx
 
 
-def _screen_margin(points: np.ndarray, half_c2: np.ndarray) -> np.ndarray:
-    # Two computations of one score h - p.c (h = 0.5*||c||^2, the same bits
-    # in both) add the same dim products in different orders, so each is
-    # within dim*u*|p||c| of exact (u = 2^-53; Higham 2002, section 3.1),
-    # and the subtraction adds u*|h - p.c|. They differ by at most
+def _margins(
+    p2: np.ndarray, dim: int, half_c2: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's screening margin and window slack."""
+    # Margin. Two computations of one score h - p.c (h = 0.5*||c||^2, the
+    # same bits in both) add the same dim products in different orders, so
+    # each is within dim*u*|p||c| of exact (u = 2^-53; Higham 2002, section
+    # 3.1), and the subtraction adds u*|h - p.c|. They differ by at most
     # D = 2*(dim + 1)*u*X, X = |p|*cmax + hmax, with cmax and hmax the
     # largest norm and half squared norm of any centroid. A stored score and
     # a screened or rescored one may each be D off the full pass's bits, so
@@ -113,10 +131,35 @@ def _screen_margin(points: np.ndarray, half_c2: np.ndarray) -> np.ndarray:
     # (dim + 2) * 2^-51 * X = 2*D + 4*u*X also covers the rounding of
     # winner + margin and of the margin itself. A wider margin only costs
     # rescored rows.
-    dim = points.shape[1]
+    #
+    # Slack. A row's window holds every centroid whose mean is within
+    # r = sqrt((||p||^2 + 2*(ub + slack))/dim) of the row's, and its label
+    # stands only if its winner there scores at most ub + margin. Exactly,
+    # dim*(mean_p - mean_c)^2 <= ||p - c||^2 = ||p||^2 + 2*(h - p.c) by
+    # Cauchy-Schwarz. Let Z = |p| + cmax: Z^2 = ||p||^2 + 2*X bounds X and
+    # ||p||^2 + 2*hmax, no mean is more than Z/sqrt(dim) from the row's, and
+    # so a centroid c can be outside the window only if r < 1.01*Z/sqrt(dim).
+    # Then:
+    # - a mean sums dim terms, so the row's and c's are within
+    #   (dim + 1)*u*Z/sqrt(dim) of exact together, and mean -/+ r rounds by
+    #   u*(|mean| + r) < 2.01*u*Z/sqrt(dim); together they cost
+    #   dim*(mean_p - mean_c)^2 at most 2.02*(dim + 3.01)*u*Z^2;
+    # - ||p||^2 + 2*(ub + slack), the division and the square root round
+    #   dim*r^2 by at most 6*u*Z^2;
+    # - h is within dim*u*hmax of 0.5*||c||^2 and ||p||^2 within
+    #   dim*u*||p||^2, together dim*u*Z^2 in 2*(h - p.c);
+    # so c's exact score (of h as stored) exceeds ub + slack -
+    # (1.51*dim + 6.05)*u*Z^2, and the full pass's bits of it exceed that
+    # less D/2. The winner scores at most ub + margin, so at most
+    # ub + margin + D in the full pass, and c loses to it there once
+    # slack >= (1.51*dim + 6.05)*u*Z^2 + margin + 1.5*D, which is at most
+    # (8.51*dim + 17.05)*u*Z^2. (dim + 2) * 2^-49 * Z^2 = (16*dim + 32)*u*Z^2
+    # leaves room for the second-order terms dropped above. A wider slack
+    # only costs cells.
+    eps = (dim + 2) * 2.0 ** -51
     hmax = float(half_c2.max())
-    pnorm = np.sqrt(np.einsum("ij,ij->i", points, points))
-    return (dim + 2) * 2.0 ** -51 * (pnorm * np.sqrt(2.0 * hmax) + hmax)
+    x = np.sqrt(p2 * (2.0 * hmax)) + hmax
+    return eps * x, 4.0 * eps * (p2 + 2.0 * x)
 
 
 def _assign(
@@ -127,77 +170,155 @@ def _assign(
     """Nearest centroid of each point, lowest index on ties.
 
     Takes the argmin of 0.5*||c||^2 - p.c, which ranks centroids like
-    ||p - c||^2, over row chunks whose score block fits in _CHUNK_BYTES.
-    Given the previous step ``prev``, only the points that a moved centroid
-    can reach are stale and rescored; on any BLAS kernel the labels are
-    those of the full pass, in which every point is stale.
+    ||p - c||^2. The full pass scores every point against every centroid,
+    in row chunks whose score block fits in _CHUNK_BYTES. A level larger
+    than one chunk is scored only where it can change (_pruned), and any
+    chunk holding a label that is not certain is scored whole; on any BLAS
+    kernel the labels are those of the full pass.
     """
-    n, dim = points.shape
+    n = len(points)
     k = len(centroids)
     half_c2 = 0.5 * np.einsum("ij,ij->i", centroids, centroids)
     rows = max(1, _CHUNK_BYTES // (8 * k))
+    if n > rows:
+        step, unsure = _pruned(points, centroids, half_c2, rows, prev)
+    else:
+        # in one chunk a label that is not certain has the whole level
+        # scored anyway, and one block is a handful of numpy calls: in
+        # encodes of image A the assignments took a third of the pruned
+        # step's time at V = 4 and 16, half at V = 64, the same at V = 256
+        step = _Assignment(centroids, np.empty(n, dtype=np.int64), np.empty(n))
+        unsure = np.ones(1, dtype=bool)
+    for chunk in np.flatnonzero(unsure):
+        span = slice(chunk * rows, (chunk + 1) * rows)
+        scores = _score_block(points[span], centroids, half_c2)
+        step.labels[span] = win = scores.argmin(axis=1)
+        step.scores[span] = scores[np.arange(len(win)), win]
+    return step
+
+
+def _pruned(
+    points: np.ndarray,
+    centroids: np.ndarray,
+    half_c2: np.ndarray,
+    rows: int,
+    prev: _Assignment | None,
+) -> tuple[_Assignment, np.ndarray]:
+    """The assignment step's labels except in the chunks it flags, which
+    the caller scores whole.
+
+    Only stale points are scored: on a descent's first step every point,
+    and given the previous step ``prev``, those that a moved centroid can
+    reach. They are scored in tiles of mean-sorted points, each against the
+    window of mean-sorted centroids that the equal-average bound leaves.
+    """
+    n, dim = points.shape
+    k = len(centroids)
+    unsure = np.zeros(-(-n // rows), dtype=bool)
+    ub = np.empty(n)
     if prev is None:
+        p2 = np.einsum("ij,ij->i", points, points)
+        means = points @ np.ones(dim) / dim
+        order = np.argsort(means)
         labels = np.empty(n, dtype=np.int64)
         best = np.empty(n, dtype=np.float64)
-        stale = np.ones(n, dtype=bool)
+        margin, slack = _margins(p2, dim, half_c2)
+        redo = order
     else:
+        p2, means, order = prev.p2, prev.means, prev.order
         labels = prev.labels.copy()
         best = prev.scores.copy()
-        moved = (centroids != prev.centroids).any(axis=1)
+        delta = centroids - prev.centroids
+        moved = (delta != 0).any(axis=1)
         if not moved.any():
-            return _Assignment(centroids, labels, best)
+            return prev._replace(centroids=centroids), unsure
         # an unmoved centroid keeps its full-pass bits, so the old label, the
         # full pass's, is still the argmin among the unmoved ones; a point
         # keeps it unless its winner moved or a moved centroid comes within
         # the margin (<=, so a tie with a lower index is rescored)
-        margin = _screen_margin(points, half_c2)
+        margin, slack = _margins(p2, dim, half_c2)
         stale = moved[labels]
         cols = np.flatnonzero(moved)
         moved_c, moved_h = centroids[cols], half_c2[cols]
         keep = np.flatnonzero(~stale)
         step = max(1, _CHUNK_BYTES // (8 * max(len(cols), dim)))
         for start in range(0, len(keep), step):
+            # one row per moved centroid: numpy takes a column minimum far
+            # faster than the minimum of each short row
             idx = keep[start:start + step]
-            scores = _score_block(points[idx], moved_c, moved_h)
-            stale[idx] = scores.min(axis=1) <= best[idx] + margin[idx]
+            scores = moved_c @ points[idx].T
+            np.subtract(moved_h[:, None], scores, out=scores)
+            stale[idx] = scores.min(axis=0) <= best[idx] + margin[idx]
+        redo = order[stale[order]]
+        # ub, the old label's new centroid's score: ||p - c_new|| <=
+        # ||p - c_old|| + shift, ||p - c_old||^2 = ||p||^2 + 2*best; a guess
+        # that the window's winner must confirm
+        shift = np.sqrt(np.einsum("ij,ij->i", delta, delta))[labels[redo]]
+        gap = np.sqrt(np.maximum(p2[redo] + 2.0 * best[redo], 0.0))
+        ub[redo] = best[redo] + shift * (gap + 0.5 * shift)
 
-    # score the stale rows in blocks of at most a chunk's rows; when some
-    # rows were kept, a block need not be a chunk and can round unlike the
-    # full pass, so a label stands only if it wins its row by more than the
-    # margin, and each chunk holding a row that does not is then scored whole
-    redo = np.flatnonzero(stale)
-    whole = len(redo) == n
-    while len(redo):
-        unsure = np.zeros(-(-n // rows), dtype=bool)
-        for start in range(0, len(redo), rows):
-            idx = redo[start:start + rows]
-            scores = _score_block(points[_run(idx)], centroids, half_c2)
-            at, win = np.arange(len(idx)), scores.argmin(axis=1)
-            labels[idx], best[idx] = win, scores[at, win]
-            if not whole:
-                scores[at, win] = np.inf
-                fail = scores.min(axis=1) <= best[idx] + margin[idx]
-                unsure[idx[fail] // rows] = True
-        redo, whole = np.flatnonzero(np.repeat(unsure, rows)[:n]), True
-    return _Assignment(centroids, labels, best)
+    cmeans = centroids @ np.ones(dim) / dim
+    corder = np.argsort(cmeans)
+    cm, sorted_c, sorted_h = cmeans[corder], centroids[corder], half_c2[corder]
+
+    def edges(idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        r = np.sqrt((p2[idx] + 2.0 * (ub[idx] + slack[idx])) / dim)
+        return means[idx] - r, means[idx] + r
+
+    def window(low: np.ndarray, high: np.ndarray) -> tuple[int, int]:
+        # every centroid whose mean equals an end is in
+        return (int(np.searchsorted(cm, low.min(), "left")),
+                int(np.searchsorted(cm, high.max(), "right")))
+
+    # a row's label stands only if its winner beats every other score in its
+    # window by more than the margin and scores within the margin of its ub
+    tile = max(1, min(_TILE_ROWS, _CHUNK_BYTES // (8 * max(k, dim))))
+    if prev is not None:
+        lows, highs = edges(redo)
+    for start in range(0, len(redo), tile):
+        idx = redo[start:start + tile]  # in mean order
+        block = points[idx]
+        at = np.arange(len(idx))
+        if prev is None:
+            # ub: the best score among the centroids nearest in mean
+            lo = max(int(np.searchsorted(cm, means[idx[0]])) - 1, 0)
+            hi = min(int(np.searchsorted(cm, means[idx[-1]], "right")) + 1, k)
+            scores = _score_block(block, sorted_c[lo:hi], sorted_h[lo:hi])
+            ub[idx] = scores[at, scores.argmin(axis=1)]
+            wlo, whi = window(*edges(idx))
+            if wlo < lo or whi > hi:
+                lo, hi = min(lo, wlo), max(hi, whi)
+                scores = _score_block(block, sorted_c[lo:hi], sorted_h[lo:hi])
+        else:
+            lo, hi = window(lows[start:start + tile], highs[start:start + tile])
+            # a ub too low can leave the window empty: score one centroid,
+            # and the check against ub fails those rows
+            lo = min(lo, k - 1)
+            hi = max(hi, lo + 1)
+            scores = _score_block(block, sorted_c[lo:hi], sorted_h[lo:hi])
+        win = scores.argmin(axis=1)
+        labels[idx], best[idx] = corder[lo + win], scores[at, win]
+        scores[at, win] = np.inf
+        fail = scores[at, scores.argmin(axis=1)] <= best[idx] + margin[idx]
+        fail |= best[idx] > ub[idx] + margin[idx]
+        unsure[idx[fail] // rows] = True
+    return _Assignment(centroids, labels, best, p2, means, order), unsure
 
 
 def _label_sums(points: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
+    # one flat bincount per column block that fits in _CHUNK_BYTES; each
+    # bin adds its members in point order, as a sum over each cluster's
+    # members in point order does, so the sums are the same bits
     n, dim = points.shape
-    if dim <= 512:
-        # per-dimension bincount: deterministic summation order, fast for
-        # many points in few dimensions
-        return np.stack(
-            [np.bincount(labels, weights=points[:, j], minlength=k)
-             for j in range(dim)],
-            axis=1,
-        )
-    # few wide clusters: masked sums
-    sums = np.zeros((k, dim), dtype=np.float64)
-    for j in range(k):
-        members = points[labels == j]
-        if len(members):
-            sums[j] = members.sum(axis=0)
+    sums = np.empty((k, dim))
+    width = max(1, _CHUNK_BYTES // (8 * max(n, 1)))
+    for start in range(0, dim, width):
+        block = points[:, start:start + width]
+        w = block.shape[1]
+        bins = (labels[:, None] * w + np.arange(w)).ravel()
+        sums[:, start:start + w] = np.bincount(
+            bins, weights=block.ravel(), minlength=k * w
+        ).reshape(k, w)
     return sums
 
 

@@ -5,12 +5,17 @@ import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from conftest import adversarial_image
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vvcodec import clustering
 from vvcodec.clustering import ClusterOptions, ClusterResult, canonicalize_labels, kmeans
+from vvcodec.imaging import blocks_at_level
 
 
 def brute_force_sse(points: np.ndarray, k: int) -> float:
@@ -156,6 +161,14 @@ class TestKmeans:
             tracemalloc.stop()
         assert len(res.sse_history) > 1
         assert peak < 10 * 2 ** 20
+
+    def test_tie_heavy_level_matches_reference(self):
+        # the first V=1024 level of the 256-px dither: many blocks and
+        # sampled centroids repeat, so many rows tie exactly and are decided
+        # by scoring their chunk whole
+        pts = blocks_at_level(adversarial_image("dither", 256), 6).astype(np.float64)
+        assert pts.shape == (4096, 16)
+        assert_matches_reference(pts, ClusterOptions(k=1024, restarts=1))
 
     def test_k_larger_than_points(self):
         with pytest.raises(ValueError):
@@ -323,7 +336,8 @@ def assert_same_as_full_pass(points, prev_centroids, centroids):
     # a score rescored in a block that is not a whole chunk may round unlike
     # the full pass's
     half_c2 = 0.5 * np.einsum("ij,ij->i", centroids, centroids)
-    margin = clustering._screen_margin(points, half_c2)
+    p2 = np.einsum("ij,ij->i", points, points)
+    margin, _ = clustering._margins(p2, points.shape[1], half_c2)
     assert (np.abs(got.scores - want.scores) <= margin).all()
     assert np.array_equal(want.labels, full_assign(points, centroids))
 
@@ -384,8 +398,9 @@ class TestIncrementalAssign:
     def test_exact_tie_scores_its_chunk_whole(self, monkeypatch):
         # 200 points in chunks of 16 rows; centroid 3 wins the far points 37
         # and 150 alone and moves to tie exactly with centroid 5 at point 37:
-        # both are rescored in one 2-row block, where 37 cannot be certified,
-        # so its chunk (rows 32..47) is scored whole, and 150's is not
+        # both are rescored in one tile, whose window holds 3 and 5; 37
+        # cannot be certified, so its chunk (rows 32..47) is scored whole,
+        # and 150's is not
         k, rows, n = 16, 16, 200
         monkeypatch.setattr(clustering, "_CHUNK_BYTES", rows * 8 * k)
         rng = np.random.default_rng(24)
@@ -398,23 +413,99 @@ class TestIncrementalAssign:
         moved = cents.copy()
         moved[3] = (998.0, 0.0)
 
-        blocks = []
+        tiles, chunks = [], []
         score_block = clustering._score_block
 
         def spy(points, centroids, half_c2):
-            if len(centroids) == k:
-                blocks.append(points.copy())
+            # the whole-chunk pass scores the centroids as given
+            (chunks if centroids is moved else tiles).append(points.copy())
             return score_block(points, centroids, half_c2)
 
         monkeypatch.setattr(clustering, "_score_block", spy)
         got = clustering._assign(pts, moved, prev)
         monkeypatch.setattr(clustering, "_score_block", score_block)
-        assert [len(b) for b in blocks] == [2, rows]
-        assert np.array_equal(blocks[0], pts[[37, 150]])
-        assert np.array_equal(blocks[1], pts[32:48])
+        assert len(tiles) == 1
+        assert sorted(tiles[0].tolist()) == sorted(pts[[37, 150]].tolist())
+        assert len(chunks) == 1 and np.array_equal(chunks[0], pts[32:48])
         assert got.labels[[37, 150]].tolist() == [3, 3]
         assert np.array_equal(got.labels, full_assign(pts, moved))
         assert_same_as_full_pass(pts, cents, moved)
+
+    @pytest.mark.parametrize("rows", [1, 3, 64])
+    def test_centroids_sharing_one_mean(self, monkeypatch, rows):
+        # every centroid has mean 5, so every window must hold all of them
+        k = 12
+        monkeypatch.setattr(clustering, "_CHUNK_BYTES", rows * 8 * k)
+        rng = np.random.default_rng(25)
+        pts = rng.random((150, 2)) * 10
+        t = np.arange(k) - 5.5
+        cents = np.stack([5.0 + t, 5.0 - t], axis=1)
+        assert (cents.sum(axis=1) == 10.0).all()
+        got = clustering._assign(pts, cents)
+        assert np.array_equal(got.labels, full_assign(pts, cents))
+        assert_same_as_full_pass(pts, cents + 0.25, cents)
+
+    @pytest.mark.parametrize("rows", [1, 3, 8])
+    def test_dim1_points_at_midpoints(self, monkeypatch, rows):
+        # at dim 1 the equal-average bound is an equality: a point midway
+        # between its old winner's new place and a lower-indexed centroid
+        # has that centroid exactly on its window's edge, and ties with it
+        k = 10
+        monkeypatch.setattr(clustering, "_CHUNK_BYTES", rows * 8 * k)
+        cents = 2.0 * np.arange(k)[::-1, None]  # lower index, larger value
+        mids = np.arange(1.0, 2 * k - 2, 2.0)[:, None]
+        pts = np.concatenate([mids, cents, mids + 0.5, mids - 0.25])
+        before = cents + 0.5  # each midpoint's winner lies below it
+        prev = clustering._assign(pts, before)
+        assert (cents[prev.labels[:len(mids)], 0] == mids[:, 0] - 1).all()
+        got = clustering._assign(pts, cents, prev)
+        # the tie goes to the lower index, the centroid above
+        assert (cents[got.labels[:len(mids)], 0] == mids[:, 0] + 1).all()
+        assert_same_as_full_pass(pts, before, cents)
+        assert np.array_equal(clustering._assign(pts, cents).labels, full_assign(pts, cents))
+
+    @pytest.mark.parametrize("rows", [1, 3, 16])
+    def test_an_unconfirmed_ub_scores_its_chunk_whole(self, monkeypatch, rows):
+        # every centroid moves, so every row is stale and its ub comes from
+        # its stored score; stored as if each point sat on its centroid,
+        # the scores are far too low, the windows miss most winners, and
+        # only the check of the winner against its ub keeps the labels exact
+        k = 16
+        monkeypatch.setattr(clustering, "_CHUNK_BYTES", rows * 8 * k)
+        rng = np.random.default_rng(26)
+        pts = rng.random((120, 3)) * 100
+        before = rng.random((k, 3)) * 100
+        after = before + 1.0
+        prev = clustering._assign(pts, before)
+        prev = prev._replace(scores=-0.5 * np.einsum("ij,ij->i", pts, pts))
+        got = clustering._assign(pts, after, prev)
+        assert np.array_equal(got.labels, full_assign(pts, after))
+
+    @settings(settings.get_profile("fuzz"), max_examples=300)
+    @given(
+        st.integers(2, 40), st.integers(1, 4), st.integers(1, 12),
+        st.booleans(), st.integers(1, 5), st.integers(0, 2 ** 32 - 1),
+    )
+    def test_windows_match_the_full_pass(self, n, dim, k, integer, rows, seed):
+        # small random inputs with duplicate points and centroids, and a
+        # step in which some centroids moved
+        rng = np.random.default_rng(seed)
+        k = min(k, n)
+        if integer:
+            pts = rng.integers(0, 4, (n, dim)).astype(np.float64)
+        else:
+            pts = rng.random((n, dim)) * 10
+        cents = pts[rng.integers(0, n, k)]
+        before = cents.copy()
+        moved = rng.random(k) < 0.5
+        before[moved] += rng.integers(-2, 3, (int(moved.sum()), dim))
+        with mock.patch.object(clustering, "_CHUNK_BYTES", rows * 8 * k):
+            want = full_assign(pts, cents)
+            assert np.array_equal(clustering._assign(pts, cents).labels, want)
+            prev = clustering._assign(pts, before)
+            assert np.array_equal(prev.labels, full_assign(pts, before))
+            got = clustering._assign(pts, cents, prev)
+            assert np.array_equal(got.labels, want)
 
     def test_two_points_to_rescore(self):
         # a 2-row block at k=600, dim 64 can round unlike its chunks (it
