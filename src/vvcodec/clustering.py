@@ -23,11 +23,14 @@ winner moved or a moved centroid, screened alone, comes within a rounding
 margin of its stored winning score. Stale points are scored against the
 window of centroids that the equal-average bound dim*(mean_p - mean_c)^2 <=
 ||p - c||^2 leaves (Guan & Kamel, Pattern Recognition Letters 13(10), 1992;
-Ra & Kim, IEEE TCAS-II 40(9), 1993). A label stands if it wins its window
-by more than the margin, else its chunk is scored whole as in the full
-pass, so the labels are the full pass's on any BLAS kernel. Likewise the
-first centroid update sums every cluster and later ones only those whose
-members changed.
+Ra & Kim, IEEE TCAS-II 40(9), 1993) under one upper bound: the point's
+score against a guessed centroid, its previous label or, on a first
+iteration, the centroid nearest it in mean. The guess lies in its window,
+so the window is never empty and its winner scores no worse. A label
+stands if it wins its window by more than the margin, else its chunk is
+scored whole as in the full pass, so the labels are the full pass's on any
+BLAS kernel. Likewise the first centroid update sums every cluster and
+later ones only those whose members changed.
 """
 
 from __future__ import annotations
@@ -89,7 +92,8 @@ class _Assignment(NamedTuple):
     label before any empty-cluster repair, and that label's score, within
     the screening margin of the full pass's; then, fixed for a descent of a
     level larger than one chunk, the points' squared norms and means, and
-    their indices sorted by mean."""
+    their indices sorted by mean. In the next step a stale point's window
+    is drawn around its score against its label's new centroid."""
 
     centroids: np.ndarray
     labels: np.ndarray
@@ -133,8 +137,8 @@ def _margins(
     # rescored rows.
     #
     # Slack. A row's window holds every centroid whose mean is within
-    # r = sqrt((||p||^2 + 2*(ub + slack))/dim) of the row's, and its label
-    # stands only if its winner there scores at most ub + margin. Exactly,
+    # r = sqrt((||p||^2 + 2*(ub + slack))/dim) of the row's, where ub is the
+    # row's computed score h - p.c of one guessed centroid g. Exactly,
     # dim*(mean_p - mean_c)^2 <= ||p - c||^2 = ||p||^2 + 2*(h - p.c) by
     # Cauchy-Schwarz. Let Z = |p| + cmax: Z^2 = ||p||^2 + 2*X bounds X and
     # ||p||^2 + 2*hmax, no mean is more than Z/sqrt(dim) from the row's, and
@@ -150,12 +154,14 @@ def _margins(
     #   dim*u*||p||^2, together dim*u*Z^2 in 2*(h - p.c);
     # so c's exact score (of h as stored) exceeds ub + slack -
     # (1.51*dim + 6.05)*u*Z^2, and the full pass's bits of it exceed that
-    # less D/2. The winner scores at most ub + margin, so at most
-    # ub + margin + D in the full pass, and c loses to it there once
-    # slack >= (1.51*dim + 6.05)*u*Z^2 + margin + 1.5*D, which is at most
-    # (8.51*dim + 17.05)*u*Z^2. (dim + 2) * 2^-49 * Z^2 = (16*dim + 32)*u*Z^2
-    # leaves room for the second-order terms dropped above. A wider slack
-    # only costs cells.
+    # less D/2. ub is within D/2 of g's exact score, so g scores at most
+    # ub + D in the full pass, and c loses to g there once
+    # slack > (1.51*dim + 6.05)*u*Z^2 + 1.5*D, which is at most
+    # (4.51*dim + 9.05)*u*Z^2. So g, which cannot lose to itself, lies in
+    # its window, and a winner that beats the rest of the window by more
+    # than the margin beats g, and every centroid outside, in the full pass.
+    # (dim + 2) * 2^-49 * Z^2 = (16*dim + 32)*u*Z^2 leaves room for the
+    # second-order terms dropped above. A wider slack only costs cells.
     eps = (dim + 2) * 2.0 ** -51
     hmax = float(half_c2.max())
     x = np.sqrt(p2 * (2.0 * hmax)) + hmax
@@ -210,26 +216,30 @@ def _pruned(
     Only stale points are scored: on a descent's first step every point,
     and given the previous step ``prev``, those that a moved centroid can
     reach. They are scored in tiles of mean-sorted points, each against the
-    window of mean-sorted centroids that the equal-average bound leaves.
+    window of mean-sorted centroids that the equal-average bound leaves
+    under ub: the row's score against one guessed centroid, its old label
+    or, on a first step, the first centroid in mean order whose mean is not
+    below the row's (the last if every mean is).
     """
     n, dim = points.shape
     k = len(centroids)
     unsure = np.zeros(-(-n // rows), dtype=bool)
-    ub = np.empty(n)
+    cmeans = centroids @ np.ones(dim) / dim
+    corder = np.argsort(cmeans)
+    cm, sorted_c, sorted_h = cmeans[corder], centroids[corder], half_c2[corder]
     if prev is None:
         p2 = np.einsum("ij,ij->i", points, points)
         means = points @ np.ones(dim) / dim
         order = np.argsort(means)
-        labels = np.empty(n, dtype=np.int64)
-        best = np.empty(n, dtype=np.float64)
+        labels = corder[np.minimum(np.searchsorted(cm, means), k - 1)]
+        best = np.empty(n)
         margin, slack = _margins(p2, dim, half_c2)
         redo = order
     else:
         p2, means, order = prev.p2, prev.means, prev.order
         labels = prev.labels.copy()
         best = prev.scores.copy()
-        delta = centroids - prev.centroids
-        moved = (delta != 0).any(axis=1)
+        moved = (centroids != prev.centroids).any(axis=1)
         if not moved.any():
             return prev._replace(centroids=centroids), unsure
         # an unmoved centroid keeps its full-pass bits, so the old label, the
@@ -250,57 +260,26 @@ def _pruned(
             np.subtract(moved_h[:, None], scores, out=scores)
             stale[idx] = scores.min(axis=0) <= best[idx] + margin[idx]
         redo = order[stale[order]]
-        # ub, the old label's new centroid's score: ||p - c_new|| <=
-        # ||p - c_old|| + shift, ||p - c_old||^2 = ||p||^2 + 2*best; a guess
-        # that the window's winner must confirm
-        shift = np.sqrt(np.einsum("ij,ij->i", delta, delta))[labels[redo]]
-        gap = np.sqrt(np.maximum(p2[redo] + 2.0 * best[redo], 0.0))
-        ub[redo] = best[redo] + shift * (gap + 0.5 * shift)
-
-    cmeans = centroids @ np.ones(dim) / dim
-    corder = np.argsort(cmeans)
-    cm, sorted_c, sorted_h = cmeans[corder], centroids[corder], half_c2[corder]
-
-    def edges(idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        r = np.sqrt((p2[idx] + 2.0 * (ub[idx] + slack[idx])) / dim)
-        return means[idx] - r, means[idx] + r
-
-    def window(low: np.ndarray, high: np.ndarray) -> tuple[int, int]:
-        # every centroid whose mean equals an end is in
-        return (int(np.searchsorted(cm, low.min(), "left")),
-                int(np.searchsorted(cm, high.max(), "right")))
 
     # a row's label stands only if its winner beats every other score in its
-    # window by more than the margin and scores within the margin of its ub
+    # window by more than the margin; the guess lies in the window, so the
+    # winner scores no worse than it
     tile = max(1, min(_TILE_ROWS, _CHUNK_BYTES // (8 * max(k, dim))))
-    if prev is not None:
-        lows, highs = edges(redo)
     for start in range(0, len(redo), tile):
         idx = redo[start:start + tile]  # in mean order
         block = points[idx]
+        guess = labels[idx]
+        ub = half_c2[guess] - np.einsum("ij,ij->i", block, centroids[guess])
+        r = np.sqrt((p2[idx] + 2.0 * (ub + slack[idx])) / dim)
+        # every centroid whose mean equals an end is in
+        lo = int(np.searchsorted(cm, (means[idx] - r).min(), "left"))
+        hi = int(np.searchsorted(cm, (means[idx] + r).max(), "right"))
+        scores = _score_block(block, sorted_c[lo:hi], sorted_h[lo:hi])
         at = np.arange(len(idx))
-        if prev is None:
-            # ub: the best score among the centroids nearest in mean
-            lo = max(int(np.searchsorted(cm, means[idx[0]])) - 1, 0)
-            hi = min(int(np.searchsorted(cm, means[idx[-1]], "right")) + 1, k)
-            scores = _score_block(block, sorted_c[lo:hi], sorted_h[lo:hi])
-            ub[idx] = scores[at, scores.argmin(axis=1)]
-            wlo, whi = window(*edges(idx))
-            if wlo < lo or whi > hi:
-                lo, hi = min(lo, wlo), max(hi, whi)
-                scores = _score_block(block, sorted_c[lo:hi], sorted_h[lo:hi])
-        else:
-            lo, hi = window(lows[start:start + tile], highs[start:start + tile])
-            # a ub too low can leave the window empty: score one centroid,
-            # and the check against ub fails those rows
-            lo = min(lo, k - 1)
-            hi = max(hi, lo + 1)
-            scores = _score_block(block, sorted_c[lo:hi], sorted_h[lo:hi])
         win = scores.argmin(axis=1)
         labels[idx], best[idx] = corder[lo + win], scores[at, win]
         scores[at, win] = np.inf
         fail = scores[at, scores.argmin(axis=1)] <= best[idx] + margin[idx]
-        fail |= best[idx] > ub[idx] + margin[idx]
         unsure[idx[fail] // rows] = True
     return _Assignment(centroids, labels, best, p2, means, order), unsure
 

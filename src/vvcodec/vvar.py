@@ -317,16 +317,6 @@ def deserialize(data: bytes) -> VVarCode:
     return code
 
 
-def distinct_block_count(img: PixelImage, level: int) -> int:
-    """Number of distinct level-`level` blocks under exact pixel equality."""
-    if not 0 <= level <= img.depth:
-        raise ValueError(f"level {level} out of range 0..{img.depth}")
-    blocks = img.data
-    for _ in range(level):
-        blocks = split_quadrants(blocks)
-    return len(np.unique(row_keys(blocks.reshape(4 ** level, -1))))
-
-
 def code_from_matrix(matrix: np.ndarray) -> VVarCode:
     """Build a VVarCode from a 4V x (depth - n0) coding matrix.
 

@@ -1,5 +1,6 @@
 """Shared fixtures: the four-type demo coding matrix, synthetic 512x512 test
-images with natural-image-like spectra, and cached heavy encodes."""
+images with natural-image-like spectra, cached heavy encodes, and the
+distinct-block count that the V-variability checks read."""
 
 from __future__ import annotations
 
@@ -11,7 +12,7 @@ from hypothesis import settings
 from hypothesis import strategies as st
 
 from vvcodec import fbc, vvar
-from vvcodec.imaging import PixelImage
+from vvcodec.imaging import PixelImage, row_keys, split_quadrants
 
 # the property tests' base settings: derandomized, so every run tries the
 # same examples; no example database; no per-example deadline
@@ -109,6 +110,16 @@ def adversarial_image(name: str, size: int = 512) -> PixelImage:
     else:
         raise ValueError(f"unknown adversarial image {name!r}")
     return PixelImage(plane.astype(np.uint8))
+
+
+def distinct_block_count(img: PixelImage, level: int) -> int:
+    """Number of distinct level-`level` blocks under exact pixel equality."""
+    if not 0 <= level <= img.depth:
+        raise ValueError(f"level {level} out of range 0..{img.depth}")
+    blocks = img.data
+    for _ in range(level):
+        blocks = split_quadrants(blocks)
+    return len(np.unique(row_keys(blocks.reshape(4 ** level, -1))))
 
 
 def random_vvar_code(

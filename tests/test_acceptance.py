@@ -11,7 +11,7 @@ import time
 
 import numpy as np
 
-from conftest import DEMO_ADDRESS, random_vvar_code
+from conftest import DEMO_ADDRESS, distinct_block_count, random_vvar_code
 from vvcodec import fbc, fractalgen as fg, metrics, vvar
 from vvcodec.clustering import ClusterOptions, kmeans
 from vvcodec.imaging import PixelImage
@@ -77,7 +77,7 @@ def test_criterion_4_v_variability_invariant():
             decoded = vvar.decode(code)
             n0 = code.n0
             for level in range(n0 + 1, img.depth + 1):
-                if vvar.distinct_block_count(decoded, level) > v:
+                if distinct_block_count(decoded, level) > v:
                     violations += 1
     _report(
         4,

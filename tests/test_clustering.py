@@ -465,11 +465,11 @@ class TestIncrementalAssign:
         assert np.array_equal(clustering._assign(pts, cents).labels, full_assign(pts, cents))
 
     @pytest.mark.parametrize("rows", [1, 3, 16])
-    def test_an_unconfirmed_ub_scores_its_chunk_whole(self, monkeypatch, rows):
-        # every centroid moves, so every row is stale and its ub comes from
-        # its stored score; stored as if each point sat on its centroid,
-        # the scores are far too low, the windows miss most winners, and
-        # only the check of the winner against its ub keeps the labels exact
+    def test_junk_stored_scores_with_every_centroid_moved(self, monkeypatch, rows):
+        # every centroid moves, so every row is stale and no stored score is
+        # screened; a stale row's window is drawn around its score against
+        # its old label's new centroid, so stored scores as if each point sat
+        # on its centroid, far too low, leave the labels the full pass's
         k = 16
         monkeypatch.setattr(clustering, "_CHUNK_BYTES", rows * 8 * k)
         rng = np.random.default_rng(26)
@@ -480,6 +480,22 @@ class TestIncrementalAssign:
         prev = prev._replace(scores=-0.5 * np.einsum("ij,ij->i", pts, pts))
         got = clustering._assign(pts, after, prev)
         assert np.array_equal(got.labels, full_assign(pts, after))
+
+    @pytest.mark.parametrize("rows", [1, 3, 16])
+    def test_first_step_means_beyond_every_centroid(self, monkeypatch, rows):
+        # a first step guesses each row's centroid by mean order; rows whose
+        # means lie below every centroid's take the first, and rows whose
+        # means lie above every centroid's the last
+        k = 12
+        monkeypatch.setattr(clustering, "_CHUNK_BYTES", rows * 8 * k)
+        rng = np.random.default_rng(27)
+        cents = 40.0 + rng.random((k, 3)) * 20
+        pts = np.concatenate([rng.random((30, 3)), 9.0 + rng.random((30, 3))]) * 10
+        cmeans = cents.mean(axis=1)
+        assert (pts[:30].mean(axis=1) < cmeans.min()).all()
+        assert (pts[30:].mean(axis=1) > cmeans.max()).all()
+        got = clustering._assign(pts, cents)
+        assert np.array_equal(got.labels, full_assign(pts, cents))
 
     @settings(settings.get_profile("fuzz"), max_examples=300)
     @given(

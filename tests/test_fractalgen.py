@@ -3,9 +3,8 @@ import itertools
 import numpy as np
 import pytest
 
-from conftest import DEMO_ADDRESS, DEMO_MATRIX
+from conftest import DEMO_ADDRESS, DEMO_MATRIX, distinct_block_count
 from vvcodec import fractalgen as fg
-from vvcodec import vvar
 from vvcodec.imaging import PixelImage
 
 
@@ -294,7 +293,7 @@ class TestRenderSquare:
         values = np.array([0, 128, 255])
         img = fg.render_vvariable_square(skeleton, values, 6)
         for level in range(7):
-            assert vvar.distinct_block_count(img, level) <= max(
+            assert distinct_block_count(img, level) <= max(
                 3, 1 if level == 0 else 3
             )
 

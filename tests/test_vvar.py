@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import DEMO_ADDRESS, random_vvar_code
+from conftest import DEMO_ADDRESS, distinct_block_count, random_vvar_code
 from vvcodec import metrics, vvar
 from vvcodec.clustering import ClusterOptions, canonicalize_labels, kmeans
 from vvcodec.imaging import FormatError, PixelImage, blocks_at_level, split_quadrants
@@ -66,7 +66,7 @@ class TestEncodeDecode:
         img = PixelImage(rng.integers(0, levels, (2 ** depth, 2 ** depth)))
         decoded = vvar.decode(vvar.encode(img, v, seed=seed, restarts=1))
         for level in range(img.depth + 1):
-            assert vvar.distinct_block_count(decoded, level) <= v
+            assert distinct_block_count(decoded, level) <= v
 
     def test_monotone_capacity_under_seeded_init(self):
         # SSE with V clusters <= SSE with V-1 when the V-run starts from the
@@ -144,13 +144,13 @@ class TestDemoMatrix:
             assert vvar.pixel_value(demo_code, addr) == demo_image.data[row, col]
 
     def test_leaf_level_values(self, demo_image):
-        assert vvar.distinct_block_count(demo_image, 9) == 4
+        assert distinct_block_count(demo_image, 9) == 4
         assert set(np.unique(demo_image.data).tolist()) == {33, 37, 138, 171}
 
     def test_distinct_blocks_bounded(self, demo_image):
         for level in range(10):
             bound = min(4 ** level, 4)
-            assert vvar.distinct_block_count(demo_image, level) <= bound
+            assert distinct_block_count(demo_image, level) <= bound
 
 
 class TestPixelValue:
@@ -285,16 +285,18 @@ class TestSerialization:
 
 
 class TestDistinctBlockCount:
+    """conftest's count, which the V-variability checks rely on."""
+
     def test_constant(self):
         img = PixelImage.constant(5, depth=4)
         for level in range(5):
-            assert vvar.distinct_block_count(img, level) == 1
+            assert distinct_block_count(img, level) == 1
 
     def test_level_out_of_range(self):
         with pytest.raises(ValueError):
-            vvar.distinct_block_count(PixelImage.constant(0, depth=2), 3)
+            distinct_block_count(PixelImage.constant(0, depth=2), 3)
         with pytest.raises(ValueError):
-            vvar.distinct_block_count(PixelImage.constant(0, depth=2), -1)
+            distinct_block_count(PixelImage.constant(0, depth=2), -1)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_matches_float_row_reference(self, seed):
@@ -308,7 +310,7 @@ class TestDistinctBlockCount:
         for img in images:
             for level in range(img.depth + 1):
                 reference = len(np.unique(blocks_at_level(img, level), axis=0))
-                assert vvar.distinct_block_count(img, level) == reference
+                assert distinct_block_count(img, level) == reference
 
 
 class TestDistinctRows:
