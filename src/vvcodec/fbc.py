@@ -7,18 +7,18 @@ and beta re-fit after alpha quantization, rounded to an integer in -255..255.
 Decoding iterates the block transform from a flat start image. No block
 isometries are used; a code entry is (large block index, q_alpha, q_beta).
 The encoder's domain search is exact but pruned (Saupe 1995; Fisher 1995,
-ch. 3). Identical small blocks are searched once. Stage one bounds every
-(small block, large block) cell cheaply: a float32 matmul of mean-removed,
-unit-norm blocks gives their correlation rho, and whatever alpha and beta,
-the error is at least Sss * (1 - rho^2), Sss being the small block's
-centered sum of squares. Each row's upper bound ub is the exact error of a
-few candidate blocks. A cell is skipped only when its lower bound exceeds ub
-plus a margin derived from the magnitudes (see _ERR_SLACK), so the winner
-and every cell tied with it survive. Stage two runs the exact error
-expressions, one row tile at a time, over the union of the columns that
-survive for any of the tile's rows, in five scratch buffers of at most
-_TILE_CELLS float64 cells each, so memory does not grow with the image, and
-the output is bit for bit that of the full scan.
+ch. 3). Identical small blocks are searched once, in tiles of rows of alike
+spread, with one correlation pass per tile: a float32 matmul of mean-removed,
+unit-norm blocks gives each cell's rho, and whatever alpha and beta, the
+error is at least Sss * (1 - rho^2), Sss being the small block's centered
+sum of squares. Each row's upper bound ub is the exact error of a few
+candidate blocks picked from the same rho. A cell is skipped only when its
+lower bound exceeds ub plus a margin derived from the magnitudes (see
+_ERR_SLACK), so the winner and every cell tied with it survive. The exact
+error expressions then run over the union of the columns that survive for
+any of the tile's rows, in five scratch buffers of at most _TILE_CELLS
+float64 cells each, so memory does not grow with the image, and the output
+is bit for bit that of the full scan.
 """
 
 from __future__ import annotations
@@ -35,11 +35,13 @@ BETA_BITS = 9
 _VAR_EPS = 1e-6  # guards alpha against roundoff on constant domain blocks
 # q * _ALPHA_STEP - 1 equals alpha_value(q) bit for bit on the 16 levels
 _ALPHA_STEP = 1.0 / 7.5
-# float64 cells per search buffer (1 MiB); it sets the rows of a tile in
-# both stages. Larger tiles spread each tile's calls over more rows, but
-# every row of a tile pays for the union of its rows' columns. On image B
-# (2-core Xeon, numpy 2.4, OpenBLAS 0.3.31) 2^16 ran s=4, the costliest
-# size, ~1.2x slower, and 2^18 ran s=8 ~1.15x slower.
+# float64 cells per search buffer (1 MiB). A tile has this many cells
+# divided by max(n_large, n) rows, so neither its search buffers nor the
+# pixels gathered for one of its candidates exceed it. Larger tiles spread
+# each tile's calls over more rows, but every row of a tile pays for the
+# union of its rows' columns. On image B (2-core Xeon, numpy 2.4, OpenBLAS
+# 0.3.31) 2^16 ran s=4, the costliest size, ~1.2x slower, and 2^18 ran s=8
+# ~1.15x slower.
 _TILE_CELLS = 1 << 17
 # The search skips a cell only when a lower bound on its exact error exceeds
 # ub, the least computed error of its row's candidates, plus n * _ERR_SLACK.
@@ -245,51 +247,16 @@ def _distinct_by_spread(pixels: np.ndarray, n: int) -> tuple[np.ndarray, np.ndar
     return first[order], place[inverse]
 
 
-def _candidates(unit_small, unit_large_t, sd_small, sd_large, rows) -> np.ndarray:
-    """Positions in spread order of each row's candidate domains, (5, n_small).
-
-    They are the most and least correlated domain overall, the same among
-    the domains with at least half the spread of the tile's widest row
-    (their slope seldom needs clamping), and the flattest domain.
-    """
-    n_small, n_large = len(unit_small), unit_large_t.shape[1]
-    rho = np.empty((rows, n_large), dtype=np.float32)
-    picks = np.empty((5, n_small), dtype=np.intp)
-    picks[4] = 0  # the flattest domain
-    for start in range(0, n_small, rows):
-        stop = min(start + rows, n_small)
-        tile_rho = rho[: stop - start]
-        np.matmul(unit_small[start:stop], unit_large_t, out=tile_rho)
-        j0 = int(np.searchsorted(sd_large, 0.5 * sd_small[stop - 1]))
-        j0 = min(j0, n_large - 1)
-        tile_rho.argmax(axis=1, out=picks[0, start:stop])
-        tile_rho.argmin(axis=1, out=picks[1, start:stop])
-        tile_rho[:, j0:].argmax(axis=1, out=picks[2, start:stop])
-        tile_rho[:, j0:].argmin(axis=1, out=picks[3, start:stop])
-        picks[2:4, start:stop] += j0
-    return picks
-
-
 def _least_errors(small, large, cand, row_consts, col_consts, n) -> np.ndarray:
     """Each row's least computed error over its domains cand[:, row], with the
-    bits the full search gives those cells, gathering at most _TILE_CELLS
-    pixels per candidate at a time."""
-    n_small = len(small)
-    least = np.empty(n_small)
-    chunk = max(1, _TILE_CELLS // n)
-    for c0 in range(0, n_small, chunk):
-        part = slice(c0, c0 + chunk)
-        idx = cand[:, part]
-        cross, aq, b_int, err, tmp = np.empty((5, *idx.shape))
-        for k, domains in enumerate(idx):
-            # integer times quarter-integer products: exact in any order
-            np.einsum("ij,ij->i", small[part], large[domains], out=cross[k])
-        _collage_errors(
-            cross, tuple(c[part] for c in row_consts),
-            tuple(c[idx] for c in col_consts), n, aq, b_int, err, tmp,
-        )
-        err.min(axis=0, out=least[part])
-    return least
+    bits the full search gives those cells."""
+    cross, aq, b_int, err, tmp = np.empty((5, *cand.shape))
+    for k, domains in enumerate(cand):
+        # integer times quarter-integer products: exact in any order
+        np.einsum("ij,ij->i", small, large[domains], out=cross[k])
+    col_consts = tuple(c[cand] for c in col_consts)
+    _collage_errors(cross, row_consts, col_consts, n, aq, b_int, err, tmp)
+    return err.min(axis=0)
 
 
 def _search_columns(small, large_t, cols, row_consts, col_consts, n, bufs, out):
@@ -324,7 +291,7 @@ def fbc_encode(img: PixelImage, params: FbcParams) -> FbcCode:
     sss, unit_small = _centered_units(small)
     sd_small = np.sqrt(sss)
     large = _grid_blocks(downsample2x(img.data.astype(np.float64)), s)
-    # domains in spread order, for _candidates' half-spread picks
+    # domains in spread order, for the half-spread candidates
     var_sq, unit_large = _centered_units(large)
     by_sd = np.argsort(var_sq, kind="stable")
     sd_large = np.sqrt(var_sq[by_sd])
@@ -340,19 +307,13 @@ def fbc_encode(img: PixelImage, params: FbcParams) -> FbcCode:
     var_div = np.where(var_l > _VAR_EPS, var_l, np.inf)
     col_consts = (sum_l, sum_l / n, sum_l2, var_div)
 
-    # stage one: each row's upper bound ub, then a lower bound that rules
-    # out domains for a whole tile (see _ERR_SLACK for why this is exact)
+    # one tile of rows at a time: its rho band gives each row's candidates,
+    # their least error ub, and a lower bound that rules out domains (see
+    # _ERR_SLACK for why this is exact); the exact search covers the domains
+    # whose rho^2 reaches the floor of one of the tile's rows, and its
+    # candidates
     n_small, n_large = len(small), len(large)
-    rows = min(n_small, max(1, _TILE_CELLS // n_large))
-    cand = by_sd[_candidates(unit_small, unit_large_t, sd_small, sd_large, rows)]
-    ub = _least_errors(small, large, cand, row_consts, col_consts, n)
-    ub += n * _ERR_SLACK
-    # every error is at least Sss * (1 - rho^2): keep rho^2 >= floor
-    with np.errstate(divide="ignore"):
-        floor = ((1.0 - ub / sss) - _rho2_slack(n)).astype(np.float32)
-
-    # stage two: the exact search over each tile's surviving domains, those
-    # whose rho^2 reaches the floor of one of its rows, and its candidates
+    rows = min(n_small, max(1, _TILE_CELLS // max(n_large, n)))
     large_t = np.ascontiguousarray(large.T)
     bufs = np.empty((5, rows * n_large))
     rho = np.empty((rows, n_large), dtype=np.float32)
@@ -360,21 +321,37 @@ def fbc_encode(img: PixelImage, params: FbcParams) -> FbcCode:
     keep = np.empty(n_large, dtype=bool)
     found = np.empty((n_small, 3), dtype=np.int32)
     for start in range(0, n_small, rows):
-        stop = min(start + rows, n_small)
-        if floor[start:stop].min() <= 0.0:  # a row that no rho can rule out
-            keep.fill(True)
-        else:
-            band, hit = rho[: stop - start], hits[: stop - start]
-            np.matmul(unit_small[start:stop], unit_large_t, out=band)
-            np.square(band, out=band)
-            np.greater_equal(band, floor[start:stop, None], out=hit)
-            keep.fill(False)
-            keep[by_sd[hit.any(axis=0)]] = True
-        keep[cand[:, start:stop]] = True
+        tile = slice(start, min(start + rows, n_small))
+        r = tile.stop - start
+        band, hit = rho[:r], hits[:r]
+        np.matmul(unit_small[tile], unit_large_t, out=band)
+        # the most and least correlated domain overall, the same among the
+        # domains with at least half the spread of the tile's widest row
+        # (their slope seldom needs clamping), and the flattest domain
+        j0 = min(int(np.searchsorted(sd_large, 0.5 * sd_small[tile.stop - 1])),
+                 n_large - 1)
+        wide = band[:, j0:]
+        cand = by_sd[np.stack([
+            band.argmax(axis=1), band.argmin(axis=1),
+            wide.argmax(axis=1) + j0, wide.argmin(axis=1) + j0,
+            np.zeros(r, dtype=np.intp),
+        ])]
+        ub = _least_errors(
+            small[tile], large, cand, tuple(c[tile] for c in row_consts),
+            col_consts, n,
+        )
+        ub += n * _ERR_SLACK
+        # every error is at least Sss * (1 - rho^2): keep rho^2 >= floor
+        with np.errstate(divide="ignore"):
+            floor = ((1.0 - ub / sss[tile]) - _rho2_slack(n)).astype(np.float32)
+        np.square(band, out=band)
+        np.greater_equal(band, floor[:, None], out=hit)
+        keep[by_sd] = hit.any(axis=0)
+        keep[cand] = True
         _search_columns(
-            small[start:stop], large_t, np.flatnonzero(keep),
-            tuple(c[start:stop, None] for c in row_consts), col_consts, n,
-            bufs, found[start:stop],
+            small[tile], large_t, np.flatnonzero(keep),
+            tuple(c[tile, None] for c in row_consts), col_consts, n,
+            bufs, found[tile],
         )
     return FbcCode(img.depth, s, found[where])
 

@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import spectral_field
+from conftest import adversarial_image, spectral_field
 from vvcodec import fbc
 from vvcodec.bitpack import pack
 from vvcodec.imaging import FormatError, PixelImage
@@ -165,10 +165,15 @@ class TestEncode:
             assert (entry[0], entry[1], entry[2]) == (li, qa, qb)
 
     @staticmethod
-    def search_in_tiles(monkeypatch, img, rows):
-        n_large = (16 // 4) ** 2
-        monkeypatch.setattr(fbc, "_TILE_CELLS", rows * n_large)
-        code = fbc.fbc_encode(img, fbc.FbcParams(2))
+    def force_tile_rows(monkeypatch, img, s, rows):
+        # a tile has _TILE_CELLS // max(n_large, n) rows
+        n_large = (img.side // (2 * s)) ** 2
+        monkeypatch.setattr(fbc, "_TILE_CELLS", rows * max(n_large, s * s))
+
+    @classmethod
+    def search_in_tiles(cls, monkeypatch, img, rows, s=2):
+        cls.force_tile_rows(monkeypatch, img, s, rows)
+        code = fbc.fbc_encode(img, fbc.FbcParams(s))
         return [tuple(int(v) for v in entry) for entry in code.entries]
 
     @pytest.mark.parametrize("flat_corner", [False, True])
@@ -203,6 +208,27 @@ class TestEncode:
             assert got[:2] == [(1, 1, 482), (1, 11, 428)]
         if kind == "tight":
             assert got[63] == (1, 1, 470)
+
+    @pytest.mark.parametrize("rows", [1, 3])
+    def test_blocks_with_more_pixels_than_domains_match_brute_force(
+        self, monkeypatch, rows
+    ):
+        # s=8 on 32 px: n = 64 pixels per block against n_large = 4 domains,
+        # so n, not n_large, sets the rows of a tile
+        img = natural_image(13, 32)
+        got = self.search_in_tiles(monkeypatch, img, rows, s=8)
+        expected = brute_force_best(img, 8)
+        assert got == [(li, qa, qb) for _, li, qa, qb in expected]
+
+    @pytest.mark.parametrize("s", [4, 8])
+    @pytest.mark.parametrize("name", ["dither", "mixed", "noise"])
+    def test_large_images_encode_alike_in_small_tiles(self, monkeypatch, name, s):
+        # hundreds of 3-row tiles, each with its own candidates and floor
+        img = adversarial_image(name, 256)
+        params = fbc.FbcParams(s)
+        default = fbc.serialize(fbc.fbc_encode(img, params))
+        self.force_tile_rows(monkeypatch, img, s, 3)
+        assert fbc.serialize(fbc.fbc_encode(img, params)) == default
 
     def test_search_scratch_memory_is_bounded(self):
         # 4096 x 1024 (small, large) pairs: 32 MiB per full error matrix
