@@ -59,10 +59,8 @@ def cmd_vv_encode(args: argparse.Namespace) -> int:
     code = vvar.encode(img, args.v, seed=args.seed, restarts=args.restarts)
     blob = vvar.serialize(code)
     _write_atomic(args.output, blob)
-    report = metrics.quality_report(
-        img, vvar.decode(code), len(blob) - vvar.HEADER_BYTES
-    )
-    print(report.rate_row())
+    payload = len(blob) - vvar.HEADER_BYTES
+    print(metrics.quality_report(img, vvar.decode(code), payload))
     return 0
 
 
@@ -82,8 +80,7 @@ def cmd_fbc(args: argparse.Namespace) -> int:
         code = fbc.fbc_encode(img, params)
         _write_atomic(args.output, fbc.serialize(code))
         payload = (fbc.fbc_payload_bits(code) + 7) // 8
-        report = metrics.quality_report(img, fbc.fbc_decode(code, params), payload)
-        print(report.rate_row())
+        print(metrics.quality_report(img, fbc.fbc_decode(code, params), payload))
         return 0
     if data[:4] == fbc.MAGIC:
         code = fbc.deserialize(data)
@@ -112,10 +109,8 @@ def cmd_table(args: argparse.Namespace) -> int:
     for n in range(6):
         v = 4 ** n
         code = vvar.encode(img, v, seed=args.seed, restarts=args.restarts)
-        report = metrics.quality_report(
-            img, vvar.decode(code), vvar.payload_size(v, img.depth)
-        )
-        print(f"{v},{report.rate_row()}")
+        payload = vvar.payload_size(v, img.depth)
+        print(f"{v},{metrics.quality_report(img, vvar.decode(code), payload)}")
     return 0
 
 

@@ -66,13 +66,6 @@ class PixelImage:
         return self.side.bit_length() - 1
 
     @classmethod
-    def constant(cls, value: int, depth: int = 9) -> "PixelImage":
-        if not 0 <= value <= 255:
-            raise ValueError("constant value must lie in 0..255")
-        side = 2 ** depth
-        return cls(np.full((side, side), value, dtype=np.uint8))
-
-    @classmethod
     def from_real(cls, values: np.ndarray) -> "PixelImage":
         """Round to nearest and clamp a real-valued array into an image."""
         return cls(np.clip(np.rint(values), 0, 255).astype(np.uint8))
@@ -226,7 +219,7 @@ def expand_types(grid: np.ndarray, table: np.ndarray) -> np.ndarray:
     # cells[half, t] is the top (half 0) or bottom child pair of type t; the
     # zero row t = 0 lets types index the table without subtracting 1; digit
     # d of type t sits at cells[_DIGIT_ROW[d-1], t, _DIGIT_COL[d-1]]
-    cells =np.zeros((2, len(table) // 4 + 1, 2), dtype=table.dtype)
+    cells = np.zeros((2, len(table) // 4 + 1, 2), dtype=table.dtype)
     cells[_DIGIT_ROW, 1:, _DIGIT_COL] = table.reshape(-1, 4).T
     out = np.empty((side, 2, side, 2), dtype=table.dtype)
     for half in (0, 1):

@@ -1,9 +1,8 @@
-"""Distortion and rate metrics for comparing codecs."""
+"""Distortion and rate metrics for comparing codecs, and the CLI's rate row."""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,21 +32,6 @@ def compression_ratio(raw_bytes: int, payload_bytes: int) -> float:
     return raw_bytes / payload_bytes
 
 
-@dataclass(frozen=True)
-class QualityReport:
-    mse: float
-    psnr_db: float
-    payload_bytes: int
-    compression_ratio: float
-
-    def rate_row(self) -> str:
-        """The row the CLI prints: payload_bytes,psnr_db,compression_ratio."""
-        return (
-            f"{self.payload_bytes},{fmt(self.psnr_db)},"
-            f"{fmt(self.compression_ratio)}"
-        )
-
-
 def fmt(x: float) -> str:
     """A CSV number: four decimals, or "inf"."""
     return "inf" if math.isinf(x) else f"{x:.4f}"
@@ -55,16 +39,11 @@ def fmt(x: float) -> str:
 
 def quality_report(
     original: PixelImage, decoded: PixelImage, payload_bytes: int
-) -> QualityReport:
-    """Distortion of `decoded` against `original` plus rate bookkeeping.
+) -> str:
+    """The row the CLI prints for a decode of `original` that took
+    `payload_bytes`: payload_bytes,psnr_db,compression_ratio.
 
     The raw size is one byte per pixel of the original.
     """
-    return QualityReport(
-        mse=mse(original, decoded),
-        psnr_db=psnr(original, decoded),
-        payload_bytes=payload_bytes,
-        compression_ratio=compression_ratio(
-            original.side * original.side, payload_bytes
-        ),
-    )
+    ratio = compression_ratio(original.side * original.side, payload_bytes)
+    return f"{payload_bytes},{fmt(psnr(original, decoded))},{fmt(ratio)}"

@@ -112,6 +112,11 @@ def adversarial_image(name: str, size: int = 512) -> PixelImage:
     return PixelImage(plane.astype(np.uint8))
 
 
+def constant_image(value: int, depth: int = 9) -> PixelImage:
+    """A flat 2**depth-sided image of gray `value`."""
+    return PixelImage(np.full((2 ** depth, 2 ** depth), value))
+
+
 def distinct_block_count(img: PixelImage, level: int) -> int:
     """Number of distinct level-`level` blocks under exact pixel equality."""
     if not 0 <= level <= img.depth:

@@ -4,7 +4,7 @@ import sys
 import numpy as np
 import pytest
 
-from conftest import DEMO_ADDRESS, DEMO_MATRIX
+from conftest import DEMO_ADDRESS, DEMO_MATRIX, constant_image
 from vvcodec import cli, fbc, load_pgm, save_pgm, vvar
 from vvcodec.imaging import PixelImage
 
@@ -208,6 +208,33 @@ class TestFbcCommand:
         assert not out_fbc.exists()
 
 
+@pytest.mark.parametrize(
+    "encode, decode, header_bytes",
+    [
+        (("vv-encode", "--v", 4), "vv-decode", vvar.HEADER_BYTES),
+        (("fbc", "--small", 4), "fbc", fbc.HEADER_BYTES),
+    ],
+    ids=["vv-encode", "fbc"],
+)
+def test_rate_row_describes_the_written_stream(
+    capsys, small_image_path, tmp_path, encode, decode, header_bytes
+):
+    command, *options = encode
+    stream, decoded = tmp_path / "o.bin", tmp_path / "o.pgm"
+    status, out, _ = run_cli(capsys, command, small_image_path, stream, *options)
+    assert status == 0
+    payload, psnr, ratio = out.strip().split(",")
+    assert run_cli(capsys, decode, stream, decoded)[0] == 0
+
+    original = load_pgm(small_image_path.read_bytes()).data.astype(np.float64)
+    diff = original - load_pgm(decoded.read_bytes()).data
+    mse = float(np.mean(diff * diff))
+    want = "inf" if mse == 0 else f"{10 * np.log10(255.0 ** 2 / mse):.4f}"
+    assert int(payload) == stream.stat().st_size - header_bytes
+    assert psnr == want
+    assert ratio == f"{original.size / int(payload):.4f}"
+
+
 class TestPsnrCommand:
     def test_identical(self, capsys, small_image_path, tmp_path):
         status, out, _ = run_cli(capsys, "psnr", small_image_path, small_image_path)
@@ -217,8 +244,8 @@ class TestPsnrCommand:
     def test_extremes(self, capsys, tmp_path):
         a = tmp_path / "zero.pgm"
         b = tmp_path / "full.pgm"
-        a.write_bytes(save_pgm(PixelImage.constant(0, depth=3)))
-        b.write_bytes(save_pgm(PixelImage.constant(255, depth=3)))
+        a.write_bytes(save_pgm(constant_image(0, depth=3)))
+        b.write_bytes(save_pgm(constant_image(255, depth=3)))
         status, out, _ = run_cli(capsys, "psnr", a, b)
         mse, psnr = out.strip().split(",")
         assert float(mse) == 65025.0 and float(psnr) == 0.0
@@ -324,7 +351,7 @@ class TestTableCommand:
 
 def test_module_entry_point(tmp_path):
     img = tmp_path / "c.pgm"
-    img.write_bytes(save_pgm(PixelImage.constant(50, depth=3)))
+    img.write_bytes(save_pgm(constant_image(50, depth=3)))
     proc = subprocess.run(
         [sys.executable, "-m", "vvcodec.cli", "psnr", str(img), str(img)],
         capture_output=True,

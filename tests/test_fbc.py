@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import adversarial_image, spectral_field
+from conftest import adversarial_image, constant_image, spectral_field
 from vvcodec import fbc
 from vvcodec.bitpack import pack
 from vvcodec.imaging import FormatError, PixelImage
@@ -119,7 +119,7 @@ class TestQuantizer:
 
 class TestEncode:
     def test_constant_image_entries(self):
-        img = PixelImage.constant(45, depth=4)
+        img = constant_image(45, depth=4)
         code = fbc.fbc_encode(img, fbc.FbcParams(4))
         assert set(code.entries[:, 1].tolist()) == {8}  # quantized zero slope
         # decode recovers the constant exactly (45 = 15 * 3)
@@ -129,13 +129,13 @@ class TestEncode:
         # the quantizer has no zero level, so constants whose fixed point
         # lands exactly half a gray away can be off by one
         for c in (7, 22, 100, 128, 255):
-            img = PixelImage.constant(c, depth=4)
+            img = constant_image(c, depth=4)
             dec = fbc.fbc_decode(fbc.fbc_encode(img, fbc.FbcParams(4)))
             assert np.abs(dec.data.astype(int) - c).max() <= 1
 
     def test_exact_constants(self):
         for c in (0, 15, 30, 150, 255):
-            img = PixelImage.constant(c, depth=4)
+            img = constant_image(c, depth=4)
             assert fbc.fbc_decode(fbc.fbc_encode(img, fbc.FbcParams(4))) == img
 
     def test_exact_half_scale_similarity_found(self):
@@ -242,7 +242,7 @@ class TestEncode:
         assert peak < 8 * 2 ** 20
 
     def test_geometry_mismatch(self):
-        img = PixelImage.constant(0, depth=2)
+        img = constant_image(0, depth=2)
         with pytest.raises(ValueError):
             params = fbc.FbcParams(4)
             params.check_side(img.side)
@@ -319,11 +319,11 @@ class TestDecode:
             assert later <= earlier + 1e-9
 
     def test_decode_constant_round_trip(self):
-        img = PixelImage.constant(60, depth=4)
+        img = constant_image(60, depth=4)
         assert fbc.fbc_decode(fbc.fbc_encode(img, fbc.FbcParams(2))) == img
 
     def test_params_mismatch(self):
-        img = PixelImage.constant(0, depth=3)
+        img = constant_image(0, depth=3)
         code = fbc.fbc_encode(img, fbc.FbcParams(2))
         with pytest.raises(ValueError):
             fbc.fbc_decode(code, fbc.FbcParams(4))

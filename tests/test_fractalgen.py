@@ -3,9 +3,8 @@ import itertools
 import numpy as np
 import pytest
 
-from conftest import DEMO_ADDRESS, DEMO_MATRIX, distinct_block_count
+from conftest import DEMO_ADDRESS, DEMO_MATRIX, constant_image, distinct_block_count
 from vvcodec import fractalgen as fg
-from vvcodec.imaging import PixelImage
 
 
 def compose_all(ifs, n):
@@ -209,7 +208,7 @@ class TestRenderSquare:
     def test_single_type_constant(self):
         skeleton = fg.random_skeleton(1, 4, 5, seed=0)
         img = fg.render_vvariable_square(skeleton, np.array([77]), 5)
-        assert img == PixelImage.constant(77, depth=5)
+        assert img == constant_image(77, depth=5)
 
     def test_demo_matrix_render(self, demo_code, demo_image):
         # depth-9 skeleton: trivial first level, the matrix's label columns,

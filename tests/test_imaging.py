@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import constant_image
 from vvcodec.imaging import (
     FormatError,
     PixelImage,
@@ -39,7 +40,7 @@ class TestPixelImage:
             PixelImage(np.full((2, 2), 300))
 
     def test_depth(self):
-        assert PixelImage.constant(0, depth=9).side == 512
+        assert constant_image(0, depth=9).side == 512
         assert PixelImage(np.zeros((4, 4), np.uint8)).depth == 2
 
 
@@ -58,11 +59,11 @@ class TestPgm:
             load_pgm(b"P5 3 3 255\n" + bytes(9))
 
     def test_save_constant(self):
-        out = save_pgm(PixelImage.constant(0, depth=1))
+        out = save_pgm(constant_image(0, depth=1))
         assert out.endswith(bytes(4))
 
     def test_save_512_payload(self):
-        out = save_pgm(PixelImage.constant(7, depth=9))
+        out = save_pgm(constant_image(7, depth=9))
         header_len = out.index(b"\n") + 1
         assert len(out) - header_len == 262144
 
@@ -113,7 +114,7 @@ class TestExtractBlock:
         assert block.shape == (1, 1)
 
     def test_too_long(self):
-        img = PixelImage.constant(0, depth=1)
+        img = constant_image(0, depth=1)
         with pytest.raises(ValueError):
             extract_block(img, (1, 1))
 

@@ -3,18 +3,19 @@ import math
 import numpy as np
 import pytest
 
+from conftest import constant_image
 from vvcodec import metrics
 from vvcodec.imaging import PixelImage
 
 
 def test_mse_identical():
-    img = PixelImage.constant(12, depth=3)
+    img = constant_image(12, depth=3)
     assert metrics.mse(img, img) == 0.0
 
 
 def test_mse_extremes():
-    a = PixelImage.constant(0, depth=3)
-    b = PixelImage.constant(255, depth=3)
+    a = constant_image(0, depth=3)
+    b = constant_image(255, depth=3)
     assert metrics.mse(a, b) == 65025.0
 
 
@@ -28,17 +29,17 @@ def test_mse_single_differing_pixel():
 
 def test_mse_size_mismatch():
     with pytest.raises(ValueError):
-        metrics.mse(PixelImage.constant(0, depth=2), PixelImage.constant(0, depth=3))
+        metrics.mse(constant_image(0, depth=2), constant_image(0, depth=3))
 
 
 def test_psnr_identical_is_infinite():
-    img = PixelImage.constant(9, depth=2)
+    img = constant_image(9, depth=2)
     assert math.isinf(metrics.psnr(img, img))
 
 
 def test_psnr_zero_db():
-    a = PixelImage.constant(0, depth=2)
-    b = PixelImage.constant(255, depth=2)
+    a = constant_image(0, depth=2)
+    b = constant_image(255, depth=2)
     assert metrics.psnr(a, b) == pytest.approx(0.0)
 
 

@@ -5,7 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import DEMO_ADDRESS, distinct_block_count, random_vvar_code
+from conftest import (
+    DEMO_ADDRESS,
+    constant_image,
+    distinct_block_count,
+    random_vvar_code,
+)
 from vvcodec import metrics, vvar
 from vvcodec.clustering import ClusterOptions, canonicalize_labels, kmeans
 from vvcodec.imaging import FormatError, PixelImage, blocks_at_level, split_quadrants
@@ -31,7 +36,7 @@ class TestComputeN0:
 
 class TestEncodeDecode:
     def test_constant_round_trip(self):
-        img = PixelImage.constant(77, depth=4)
+        img = constant_image(77, depth=4)
         for v in (1, 2, 4, 9):
             code = vvar.encode(img, v, restarts=1)
             assert vvar.decode(code) == img
@@ -155,7 +160,7 @@ class TestDemoMatrix:
 
 class TestPixelValue:
     def test_constant_code(self):
-        code = vvar.encode(PixelImage.constant(200, depth=3), 1, restarts=1)
+        code = vvar.encode(constant_image(200, depth=3), 1, restarts=1)
         for addr in all_addresses(3):
             assert vvar.pixel_value(code, addr) == 200
 
@@ -288,15 +293,15 @@ class TestDistinctBlockCount:
     """conftest's count, which the V-variability checks rely on."""
 
     def test_constant(self):
-        img = PixelImage.constant(5, depth=4)
+        img = constant_image(5, depth=4)
         for level in range(5):
             assert distinct_block_count(img, level) == 1
 
     def test_level_out_of_range(self):
         with pytest.raises(ValueError):
-            distinct_block_count(PixelImage.constant(0, depth=2), 3)
+            distinct_block_count(constant_image(0, depth=2), 3)
         with pytest.raises(ValueError):
-            distinct_block_count(PixelImage.constant(0, depth=2), -1)
+            distinct_block_count(constant_image(0, depth=2), -1)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_matches_float_row_reference(self, seed):
@@ -338,4 +343,4 @@ class TestCodeFromMatrix:
         matrix[:, -1] = 99
         code = vvar.code_from_matrix(matrix)
         assert code.depth == 4 and code.v == 1
-        assert vvar.decode(code) == PixelImage.constant(99, depth=4)
+        assert vvar.decode(code) == constant_image(99, depth=4)
