@@ -91,7 +91,7 @@ class FbcParams:
             )
 
 
-@dataclass
+@dataclass(eq=False)
 class FbcCode:
     """One (large_index, q_alpha, q_beta) entry per small block, row-major."""
 
@@ -120,15 +120,6 @@ class FbcCode:
             raise FormatError("quantized alpha out of range 0..15")
         if e[:, 2].min() < 0 or e[:, 2].max() > 510:
             raise FormatError("quantized beta out of range 0..510")
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, FbcCode):
-            return NotImplemented
-        return (
-            self.depth == other.depth
-            and self.small_size == other.small_size
-            and np.array_equal(self.entries, other.entries)
-        )
 
 
 def alpha_value(q_alpha: np.ndarray | int) -> np.ndarray | float:
@@ -392,14 +383,15 @@ def fbc_decode(
     return PixelImage.from_real(current)
 
 
-def index_bits(n_large: int) -> int:
-    return (n_large - 1).bit_length()
+def field_widths(n_large: int) -> list[int]:
+    """Bits of an FBC1 entry's fields: large block index, q_alpha, q_beta."""
+    return [(n_large - 1).bit_length(), ALPHA_BITS, BETA_BITS]
 
 
 def fbc_payload_bits(code: FbcCode) -> int:
     """Payload size in bits: one (index, alpha, beta) triple per entry."""
     code.validate()
-    return len(code.entries) * (ALPHA_BITS + BETA_BITS + index_bits(code.n_large))
+    return len(code.entries) * sum(field_widths(code.n_large))
 
 
 def serialize(code: FbcCode) -> bytes:
@@ -411,8 +403,7 @@ def serialize(code: FbcCode) -> bytes:
     """
     code.validate()
     header = MAGIC + bytes([VERSION, code.depth, code.small_size])
-    widths = [index_bits(code.n_large), ALPHA_BITS, BETA_BITS]
-    return header + pack(code.entries, widths)
+    return header + pack(code.entries, field_widths(code.n_large))
 
 
 def deserialize(data: bytes) -> FbcCode:
@@ -428,12 +419,13 @@ def deserialize(data: bytes) -> FbcCode:
         FbcParams(s).check_side(2 ** depth)
     except ValueError as exc:
         raise FormatError(str(exc)) from None
-    code = FbcCode(depth, s, np.empty((0, 3), np.int32))
-    widths = [index_bits(code.n_large), ALPHA_BITS, BETA_BITS]
-    expected = HEADER_BYTES + (code.n_small * sum(widths) + 7) // 8
+    # large blocks have twice the small side, so there are n / 4 of them
+    n = (2 ** depth // s) ** 2
+    widths = field_widths(n // 4)
+    expected = HEADER_BYTES + (n * sum(widths) + 7) // 8
     if len(data) != expected:
         raise FormatError(f"stream has {len(data)} bytes, expected {expected}")
-    entries, _ = unpack(data[HEADER_BYTES:], code.n_small, widths)
-    code.entries = entries.astype(np.int32)
+    entries, _ = unpack(data[HEADER_BYTES:], n, widths)
+    code = FbcCode(depth, s, entries.astype(np.int32))
     code.validate()
     return code

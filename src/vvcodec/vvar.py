@@ -99,13 +99,9 @@ class VVarCode:
             raise FormatError(f"leaf_values must have length {4 * self.v}")
         if leaves.size and (leaves.min() < 0 or leaves.max() > 255):
             raise FormatError("leaf values must lie in 0..255")
-        if self.v == 1:
-            if not (first == 1).all() or any(
-                not (t == 1).all() for t in self.level_labels
-            ):
-                raise FormatError("V=1 codes must have all-ones label tables")
-            if len(set(int(x) for x in leaves)) != 1:
-                raise FormatError("V=1 codes must have a single leaf value")
+        # V=1 stores its leaf table as the first byte
+        if self.v == 1 and len(set(int(x) for x in leaves)) != 1:
+            raise FormatError("V=1 codes must have a single leaf value")
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, VVarCode):
@@ -158,32 +154,29 @@ def encode(
         initial = _distinct_rows(points, v) if init == "distinct" else None
         return canonicalize_labels(kmeans(points, opts, initial_centroids=initial))
 
-    first = cluster(blocks_at_level(img, n0 + 1), n0 + 1)
-    first_labels = first.labels.astype(np.int32)
-    reps = first.centroids
-
     def children(reps: np.ndarray) -> np.ndarray:
         # row 4(L-1)+d-1 holds child digit d of representative L
         side = math.isqrt(reps.shape[1])
         return split_quadrants(reps.reshape(v, side, side)).reshape(4 * v, -1)
 
-    level_labels: list[np.ndarray] = []
-    for level in range(n0 + 2, depth):
-        result = cluster(children(reps), level)
-        level_labels.append(result.labels.astype(np.int32))
-        reps = result.centroids
+    points = blocks_at_level(img, n0 + 1)
+    tables: list[np.ndarray] = []
+    for level in range(n0 + 1, depth):
+        result = cluster(points, level)
+        tables.append(result.labels.astype(np.int32))
+        points = children(result.centroids)
 
     # single-pixel level: children are scalars. At V >= 256 each is rounded
     # straight to 0..255, which already leaves at most 256 <= V gray levels;
     # below that each is stored as its cluster's value so the decoded image
     # keeps at most V gray levels
-    leaf = children(reps)[:, 0]
+    leaf = points[:, 0]
     if v < 256:
         result = cluster(leaf[:, None], depth)
         leaf = result.centroids[result.labels - 1, 0]
     leaf_values = np.clip(np.rint(leaf), 0, 255).astype(np.uint8)
 
-    return VVarCode(depth, v, first_labels, level_labels, leaf_values)
+    return VVarCode(depth, v, tables[0], tables[1:], leaf_values)
 
 
 def _level_table(code: VVarCode, level: int) -> np.ndarray:
@@ -232,19 +225,25 @@ def pixel_value(code: VVarCode, addr: QuadAddress) -> int:
     raise AssertionError("unreachable")
 
 
+def _layout(v: int, depth: int) -> tuple[int, int, int]:
+    """Label count, bits per label and leaf bytes of a (V, depth) payload.
+
+    A V=1 code's four leaves are equal, so its leaf table is its first byte.
+    """
+    n0 = compute_n0(v, depth)
+    label_count = 4 ** (n0 + 1) + 4 * v * (depth - 2 - n0)
+    return label_count, (v - 1).bit_length(), 1 if v == 1 else 4 * v
+
+
 def payload_size(v: int, depth: int = 9) -> int:
     """Exact payload size in bytes for a (V, depth) code.
 
-    Labels are bit-packed at ceil(log2 V) bits each with a single zero-pad
-    to a byte boundary; leaf values take one byte each. V=1 codes are a
-    single byte.
+    ceil(count * ceil(log2 V) / 8) + leaf bytes, for count = 4**(n0+1) +
+    4V(depth-2-n0) labels, one zero pad to a byte boundary, and leaf bytes
+    1 at V=1 and 4V otherwise.
     """
-    n0 = compute_n0(v, depth)
-    if v == 1:
-        return 1
-    label_count = 4 ** (n0 + 1) + 4 * v * (depth - 2 - n0)
-    width = (v - 1).bit_length()
-    return (label_count * width + 7) // 8 + 4 * v
+    count, width, leaf_bytes = _layout(v, depth)
+    return (count * width + 7) // 8 + leaf_bytes
 
 
 def serialize(code: VVarCode) -> bytes:
@@ -253,16 +252,15 @@ def serialize(code: VVarCode) -> bytes:
     Layout: magic "VVC1", version byte 0x01, depth byte, V as 4-byte
     big-endian, then the payload: all label arrays in level order bit-packed
     MSB-first at ceil(log2 V) bits per label storing label-1, zero-padded to
-    a byte boundary, then the leaf values as raw bytes. V=1 stores only the
-    single leaf gray value byte.
+    a byte boundary, then the leaf values as raw bytes. At V=1 the labels
+    take 0 bits and the leaves one byte.
     """
     code.validate()
     header = MAGIC + bytes([VERSION, code.depth]) + code.v.to_bytes(4, "big")
-    if code.v == 1:
-        return header + bytes([int(code.leaf_values[0])])
+    _, width, leaf_bytes = _layout(code.v, code.depth)
     labels = np.concatenate([code.first_labels, *code.level_labels]) - 1
-    payload = pack(labels[:, None], [(code.v - 1).bit_length()])
-    return header + payload + bytes(np.asarray(code.leaf_values, np.uint8))
+    leaves = np.asarray(code.leaf_values, np.uint8)[:leaf_bytes]
+    return header + pack(labels[:, None], [width]) + bytes(leaves)
 
 
 def deserialize(data: bytes) -> VVarCode:
@@ -279,40 +277,26 @@ def deserialize(data: bytes) -> VVarCode:
         n0 = compute_n0(v, depth)
     except ValueError as exc:
         raise FormatError(str(exc)) from None
+    count, width, leaf_bytes = _layout(v, depth)
     expected = HEADER_BYTES + payload_size(v, depth)
     if len(data) != expected:
         raise FormatError(
             f"stream has {len(data)} bytes, expected {expected}"
         )
-    if v == 1:
-        value = data[HEADER_BYTES]
-        return VVarCode(
-            depth=depth,
-            v=1,
-            first_labels=np.ones(4, dtype=np.int32),
-            level_labels=[np.ones(4, dtype=np.int32) for _ in range(depth - 2)],
-            leaf_values=np.full(4, value, dtype=np.uint8),
-        )
-    first_count = 4 ** (n0 + 1)
-    raw, used = unpack(
-        data[HEADER_BYTES:], first_count + 4 * v * (depth - 2 - n0),
-        [(v - 1).bit_length()],
-    )
+    raw, used = unpack(data[HEADER_BYTES:], count, [width])
     labels = raw[:, 0]
     bad = np.flatnonzero(labels >= v)
     if bad.size:
         raise FormatError(f"label {labels[bad[0]] + 1} out of range 1..{v}")
     labels = (labels + 1).astype(np.int32)
-    first_labels = labels[:first_count]
-    level_labels = [
-        labels[start:start + 4 * v]
-        for start in range(first_count, len(labels), 4 * v)
-    ]
+    first_count = 4 ** (n0 + 1)
+    level_labels = list(labels[first_count:].reshape(-1, 4 * v))
     leaf_start = HEADER_BYTES + used
-    leaf_values = np.frombuffer(
-        data[leaf_start:leaf_start + 4 * v], dtype=np.uint8
-    ).copy()
-    code = VVarCode(depth, v, first_labels, level_labels, leaf_values)
+    # at V=1 the one stored byte fills all four leaves
+    leaf_values = np.resize(
+        np.frombuffer(data[leaf_start:leaf_start + leaf_bytes], np.uint8), 4 * v
+    )
+    code = VVarCode(depth, v, labels[:first_count], level_labels, leaf_values)
     code.validate()
     return code
 

@@ -116,7 +116,7 @@ def test_fbc1_planted_beta_rejected(blob, data):
     code = fbc.deserialize(blob)
     entries = code.entries.copy()
     entries[data.draw(st.integers(0, len(entries) - 1)), 2] = 511
-    widths = [fbc.index_bits(code.n_large), fbc.ALPHA_BITS, fbc.BETA_BITS]
+    widths = fbc.field_widths(code.n_large)
     with pytest.raises(FormatError, match="beta"):
         fbc.deserialize(blob[:fbc.HEADER_BYTES] + pack(entries, widths))
 

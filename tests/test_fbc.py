@@ -342,6 +342,13 @@ class TestPayloadBits:
         assert code.n_large == 1
         assert fbc.fbc_payload_bits(code) == 4 * (4 + 9 + 0)
 
+    @pytest.mark.parametrize("side,s", [(4, 2), (16, 2), (16, 4), (64, 16), (128, 8)])
+    def test_bits_agree_with_the_stream(self, side, s):
+        img = PixelImage(np.random.default_rng(side + s).integers(0, 256, (side, side)))
+        code = fbc.fbc_encode(img, fbc.FbcParams(s))
+        payload = len(fbc.serialize(code)) - fbc.HEADER_BYTES
+        assert (fbc.fbc_payload_bits(code) + 7) // 8 == payload
+
 
 class TestSerialization:
     def _code(self):
@@ -351,7 +358,7 @@ class TestSerialization:
     def test_round_trip(self):
         code = self._code()
         blob = fbc.serialize(code)
-        assert fbc.deserialize(blob) == code
+        assert fbc.serialize(fbc.deserialize(blob)) == blob
         assert len(blob) == 7 + (fbc.fbc_payload_bits(code) + 7) // 8
 
     def test_bad_magic(self):

@@ -225,17 +225,38 @@ class TestSerialization:
         blob = vvar.serialize(code)
         assert len(blob) == 10 + vvar.payload_size(1024, code.depth)
 
-    def test_v1_single_byte(self):
-        code = vvar.VVarCode(
-            depth=9,
+    @staticmethod
+    def _v1_code(depth, leaves=(138,) * 4, first=(1,) * 4):
+        return vvar.VVarCode(
+            depth=depth,
             v=1,
-            first_labels=np.ones(4, np.int32),
-            level_labels=[np.ones(4, np.int32) for _ in range(7)],
-            leaf_values=np.full(4, 138, np.uint8),
+            first_labels=np.array(first, np.int32),
+            level_labels=[np.ones(4, np.int32) for _ in range(depth - 2)],
+            leaf_values=np.array(leaves, np.uint8),
         )
+
+    def test_v1_single_byte(self):
+        code = self._v1_code(9)
         blob = vvar.serialize(code)
         assert len(blob) == 11
         assert blob[10] == 0x8A
+        assert vvar.deserialize(blob) == code
+
+    def test_v1_unequal_leaves_refused(self):
+        # the one stored leaf byte would silently drop the other three
+        with pytest.raises(FormatError, match="single leaf value"):
+            vvar.serialize(self._v1_code(9, leaves=(138, 138, 138, 139)))
+
+    def test_v1_label_2_refused(self):
+        with pytest.raises(FormatError, match="label out of range"):
+            vvar.serialize(self._v1_code(9, first=(1, 2, 1, 1)))
+
+    @pytest.mark.parametrize("depth", [vvar.MIN_DEPTH, vvar.MAX_DEPTH])
+    def test_v1_round_trip_at_the_depth_limits(self, depth):
+        code = self._v1_code(depth)
+        blob = vvar.serialize(code)
+        assert vvar.payload_size(1, depth) == 1
+        assert blob == vvar.MAGIC + bytes([1, depth, 0, 0, 0, 1, 138])
         assert vvar.deserialize(blob) == code
 
     def test_round_trip_random_codes(self):
