@@ -91,9 +91,10 @@ class FbcParams:
             )
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class FbcCode:
-    """One (large_index, q_alpha, q_beta) entry per small block, row-major."""
+    """One (large_index, q_alpha, q_beta) entry per small block, row-major;
+    checked once, when it is made, and frozen."""
 
     depth: int
     small_size: int
@@ -107,7 +108,7 @@ class FbcCode:
     def n_large(self) -> int:
         return (2 ** self.depth // (2 * self.small_size)) ** 2
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         FbcParams(self.small_size).check_side(2 ** self.depth)
         e = np.asarray(self.entries)
         if e.shape != (self.n_small, 3):
@@ -371,7 +372,6 @@ def fbc_decode(
     Arithmetic stays real-valued across passes; rounding and clamping to
     0..255 happen once at the end.
     """
-    code.validate()
     if params is None:
         params = FbcParams(code.small_size)
     if params.small_size != code.small_size:
@@ -390,7 +390,6 @@ def field_widths(n_large: int) -> list[int]:
 
 def fbc_payload_bits(code: FbcCode) -> int:
     """Payload size in bits: one (index, alpha, beta) triple per entry."""
-    code.validate()
     return len(code.entries) * sum(field_widths(code.n_large))
 
 
@@ -401,13 +400,12 @@ def serialize(code: FbcCode) -> bytes:
     then the entries bit-packed MSB-first (index at ceil(log2 n_large) bits,
     alpha 4 bits, beta 9 bits), zero-padded to a byte boundary.
     """
-    code.validate()
     header = MAGIC + bytes([VERSION, code.depth, code.small_size])
     return header + pack(code.entries, field_widths(code.n_large))
 
 
 def deserialize(data: bytes) -> FbcCode:
-    """Exact inverse of serialize."""
+    """Exact inverse of serialize; an invalid stream raises FormatError."""
     if len(data) < HEADER_BYTES:
         raise FormatError("stream shorter than FBC1 header")
     if data[:4] != MAGIC:
@@ -426,6 +424,4 @@ def deserialize(data: bytes) -> FbcCode:
     if len(data) != expected:
         raise FormatError(f"stream has {len(data)} bytes, expected {expected}")
     entries, _ = unpack(data[HEADER_BYTES:], n, widths)
-    code = FbcCode(depth, s, entries.astype(np.int32))
-    code.validate()
-    return code
+    return FbcCode(depth, s, entries.astype(np.int32))

@@ -70,15 +70,6 @@ class PixelImage:
         """Round to nearest and clamp a real-valued array into an image."""
         return cls(np.clip(np.rint(values), 0, 255).astype(np.uint8))
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, PixelImage):
-            return NotImplemented
-        return self.data.shape == other.data.shape and np.array_equal(
-            self.data, other.data
-        )
-
-    __hash__ = None  # type: ignore[assignment]
-
 
 def _next_token(data: bytes, pos: int) -> tuple[bytes, int]:
     n = len(data)

@@ -57,12 +57,13 @@ def compute_n0(v: int, depth: int = 9) -> int:
     return (v.bit_length() - 1) // 2
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class VVarCode:
     """Compressed representation of a 2**depth-sided grayscale image.
 
     level_labels[i] is the 4V-entry table for level n0+2+i; the list covers
-    levels n0+2..depth-1 and is empty when n0 = depth-2.
+    levels n0+2..depth-1 and is empty when n0 = depth-2. The code is
+    checked once, when it is made, and its fields cannot be reassigned.
     """
 
     depth: int
@@ -75,7 +76,7 @@ class VVarCode:
     def n0(self) -> int:
         return compute_n0(self.v, self.depth)
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         n0 = self.n0  # also checks depth and V ranges
         first = np.asarray(self.first_labels)
         if first.shape != (4 ** (n0 + 1),):
@@ -179,24 +180,12 @@ def encode(
     return VVarCode(depth, v, tables[0], tables[1:], leaf_values)
 
 
-def _level_table(code: VVarCode, level: int) -> np.ndarray:
-    """Label table for one level, indexed by 4*(parent_type-1) + digit-1."""
-    n0 = code.n0
-    if 1 <= level <= n0:
-        return np.arange(1, 4 ** level + 1, dtype=np.int32)  # trivial coding
-    if level == n0 + 1:
-        return np.asarray(code.first_labels, dtype=np.int32)
-    if level < code.depth:
-        return np.asarray(code.level_labels[level - (n0 + 2)], dtype=np.int32)
-    raise ValueError(f"no label table for level {level}")
-
-
 def decode(code: VVarCode) -> PixelImage:
     """Reconstruct the full image by label propagation."""
-    code.validate()
+    trivial = [np.arange(1, 4 ** k + 1) for k in range(1, code.n0 + 1)]
     grid = np.ones((1, 1), dtype=np.int32)
-    for level in range(1, code.depth):
-        grid = expand_types(grid, _level_table(code, level))
+    for table in [*trivial, code.first_labels, *code.level_labels]:
+        grid = expand_types(grid, np.asarray(table, np.int32))
     return PixelImage(expand_types(grid, np.asarray(code.leaf_values, np.uint8)))
 
 
@@ -255,7 +244,6 @@ def serialize(code: VVarCode) -> bytes:
     a byte boundary, then the leaf values as raw bytes. At V=1 the labels
     take 0 bits and the leaves one byte.
     """
-    code.validate()
     header = MAGIC + bytes([VERSION, code.depth]) + code.v.to_bytes(4, "big")
     _, width, leaf_bytes = _layout(code.v, code.depth)
     labels = np.concatenate([code.first_labels, *code.level_labels]) - 1
@@ -264,7 +252,7 @@ def serialize(code: VVarCode) -> bytes:
 
 
 def deserialize(data: bytes) -> VVarCode:
-    """Exact inverse of serialize."""
+    """Exact inverse of serialize; an invalid stream raises FormatError."""
     if len(data) < HEADER_BYTES:
         raise FormatError("stream shorter than VVC1 header")
     if data[:4] != MAGIC:
@@ -296,9 +284,7 @@ def deserialize(data: bytes) -> VVarCode:
     leaf_values = np.resize(
         np.frombuffer(data[leaf_start:leaf_start + leaf_bytes], np.uint8), 4 * v
     )
-    code = VVarCode(depth, v, labels[:first_count], level_labels, leaf_values)
-    code.validate()
-    return code
+    return VVarCode(depth, v, labels[:first_count], level_labels, leaf_values)
 
 
 def code_from_matrix(matrix: np.ndarray) -> VVarCode:
@@ -322,7 +308,7 @@ def code_from_matrix(matrix: np.ndarray) -> VVarCode:
         raise ValueError("matrix labels must lie in 1..V")
     if leaf_col.min() < 0 or leaf_col.max() > 255:
         raise ValueError("leaf column values must lie in 0..255")
-    code = VVarCode(
+    return VVarCode(
         depth=depth,
         v=v,
         first_labels=label_cols[:, 0].astype(np.int32),
@@ -332,5 +318,3 @@ def code_from_matrix(matrix: np.ndarray) -> VVarCode:
         ],
         leaf_values=leaf_col.astype(np.uint8),
     )
-    code.validate()
-    return code

@@ -277,7 +277,7 @@ class TestFractalCommand:
         )
         assert status == 0
         img = load_pgm(out_pgm.read_bytes())
-        assert img == demo_image
+        assert np.array_equal(img.data, demo_image.data)
         row = col = 0
         for d in DEMO_ADDRESS:
             row = 2 * row + (1, 0, 1, 0)[d - 1]

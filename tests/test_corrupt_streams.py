@@ -128,7 +128,7 @@ def test_pgm_mutation_raises_only_format_error(blob):
         img = load_pgm(blob)
     except FormatError:
         return
-    assert load_pgm(save_pgm(img)) == img
+    assert np.array_equal(load_pgm(save_pgm(img)).data, img.data)
 
 
 @FUZZ

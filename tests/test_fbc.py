@@ -1,3 +1,5 @@
+import dataclasses
+import re
 import tracemalloc
 
 import numpy as np
@@ -123,7 +125,7 @@ class TestEncode:
         code = fbc.fbc_encode(img, fbc.FbcParams(4))
         assert set(code.entries[:, 1].tolist()) == {8}  # quantized zero slope
         # decode recovers the constant exactly (45 = 15 * 3)
-        assert fbc.fbc_decode(code) == img
+        assert np.array_equal(fbc.fbc_decode(code).data, img.data)
 
     def test_constant_within_one_gray_everywhere(self):
         # the quantizer has no zero level, so constants whose fixed point
@@ -136,7 +138,8 @@ class TestEncode:
     def test_exact_constants(self):
         for c in (0, 15, 30, 150, 255):
             img = constant_image(c, depth=4)
-            assert fbc.fbc_decode(fbc.fbc_encode(img, fbc.FbcParams(4))) == img
+            decoded = fbc.fbc_decode(fbc.fbc_encode(img, fbc.FbcParams(4)))
+            assert np.array_equal(decoded.data, img.data)
 
     def test_exact_half_scale_similarity_found(self):
         rng = np.random.default_rng(0)
@@ -278,7 +281,7 @@ class TestDecode:
         code = fbc.FbcCode(depth, s, entries)
         out0 = fbc.fbc_decode(code, init=0.0)
         out255 = fbc.fbc_decode(code, init=255.0)
-        assert out0 == out255
+        assert np.array_equal(out0.data, out255.data)
 
     def test_near_zero_alpha_uniform_beta_fixed_point(self):
         # with one shared beta the fixed point is flat: x = x/15 + beta
@@ -320,7 +323,8 @@ class TestDecode:
 
     def test_decode_constant_round_trip(self):
         img = constant_image(60, depth=4)
-        assert fbc.fbc_decode(fbc.fbc_encode(img, fbc.FbcParams(2))) == img
+        decoded = fbc.fbc_decode(fbc.fbc_encode(img, fbc.FbcParams(2)))
+        assert np.array_equal(decoded.data, img.data)
 
     def test_params_mismatch(self):
         img = constant_image(0, depth=3)
@@ -395,3 +399,41 @@ class TestSerialization:
         # depth 12 is the deepest accepted: 1024 entries of 8 + 4 + 9 bits
         deepest = fbc.MAGIC + bytes([fbc.VERSION, 12, 128]) + bytes(1024 * 21 // 8)
         assert fbc.deserialize(deepest).depth == 12
+
+
+def depth3_entries(column=None, value=None):
+    """Entries of a depth-3 code at s=2 (16 small blocks, 4 large blocks),
+    all zero but one field of entry 5."""
+    entries = np.zeros((16, 3), np.int32)
+    if column is not None:
+        entries[5, column] = value
+    return entries
+
+
+class TestInvalidCodeCannotBeMade:
+    """An FbcCode checks itself when made, so no invalid code exists."""
+
+    @pytest.mark.parametrize(
+        "entries,message",
+        [
+            (np.zeros((15, 3), np.int32), "expected 16 entries of 3 fields, got (15, 3)"),
+            (depth3_entries(0, 4), "large block index out of range"),
+            (depth3_entries(1, 16), "quantized alpha out of range 0..15"),
+            (depth3_entries(2, 511), "quantized beta out of range 0..510"),
+        ],
+    )
+    def test_invalid_entries_raise(self, entries, message):
+        with pytest.raises(FormatError, match=f"^{re.escape(message)}$"):
+            fbc.FbcCode(3, 2, entries)
+
+    def test_undivided_side_raises(self):
+        # side 16 at s=16: the 32-pixel large blocks do not fit
+        message = "block sizes 16/32 do not divide image side 16"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            fbc.FbcCode(4, 16, np.zeros((1, 3), np.int32))
+
+    @pytest.mark.parametrize("name", ["depth", "small_size", "entries"])
+    def test_fields_cannot_be_reassigned(self, name):
+        code = fbc.FbcCode(3, 2, depth3_entries())
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(code, name, getattr(code, name))

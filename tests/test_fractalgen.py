@@ -208,7 +208,7 @@ class TestRenderSquare:
     def test_single_type_constant(self):
         skeleton = fg.random_skeleton(1, 4, 5, seed=0)
         img = fg.render_vvariable_square(skeleton, np.array([77]), 5)
-        assert img == constant_image(77, depth=5)
+        assert np.array_equal(img.data, constant_image(77, depth=5).data)
 
     def test_demo_matrix_render(self, demo_code, demo_image):
         # depth-9 skeleton: trivial first level, the matrix's label columns,
@@ -223,7 +223,7 @@ class TestRenderSquare:
         entries = np.hstack([trivial, label_cols, leaf_types])
         skeleton = fg.SkeletonMatrix(v=4, m=4, entries=entries)
         img = fg.render_vvariable_square(skeleton, values, 9)
-        assert img == demo_image
+        assert np.array_equal(img.data, demo_image.data)
         row = col = 0
         for d in DEMO_ADDRESS:
             row = 2 * row + (1, 0, 1, 0)[d - 1]

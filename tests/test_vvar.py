@@ -1,4 +1,6 @@
+import dataclasses
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -39,7 +41,7 @@ class TestEncodeDecode:
         img = constant_image(77, depth=4)
         for v in (1, 2, 4, 9):
             code = vvar.encode(img, v, restarts=1)
-            assert vvar.decode(code) == img
+            assert np.array_equal(vvar.decode(code).data, img.data)
 
     def test_v1_decodes_to_rounded_mean(self):
         rng = np.random.default_rng(1)
@@ -364,4 +366,53 @@ class TestCodeFromMatrix:
         matrix[:, -1] = 99
         code = vvar.code_from_matrix(matrix)
         assert code.depth == 4 and code.v == 1
-        assert vvar.decode(code) == constant_image(99, depth=4)
+        assert np.array_equal(vvar.decode(code).data, constant_image(99, depth=4).data)
+
+
+class TestInvalidCodeCannotBeMade:
+    """A VVarCode checks itself when made, so no invalid code exists."""
+
+    @staticmethod
+    def _fields(**changes):
+        # a valid V=3 depth-3 code: four first labels, one mid table of 4V
+        fields = dict(
+            depth=3,
+            v=3,
+            first_labels=np.array([1, 2, 3, 1], np.int32),
+            level_labels=[np.tile(np.array([1, 2, 3], np.int32), 4)],
+            leaf_values=np.arange(12, dtype=np.uint8),
+        )
+        fields.update(changes)
+        return fields
+
+    @pytest.mark.parametrize(
+        "changes,message",
+        [
+            (dict(first_labels=np.ones(5, np.int32)),
+             "first_labels must have length 4, got (5,)"),
+            (dict(level_labels=[]), "expected 1 mid-level tables, got 0"),
+            (dict(level_labels=[np.ones(11, np.int32)]),
+             "mid-level label tables must have length 4V"),
+            (dict(first_labels=np.array([1, 0, 1, 1], np.int32)),
+             "label out of range 1..V"),
+            (dict(level_labels=[np.full(12, 4, np.int32)]),
+             "label out of range 1..V"),
+            (dict(leaf_values=np.arange(13, dtype=np.uint8)),
+             "leaf_values must have length 12"),
+            (dict(leaf_values=np.arange(245, 257)),
+             "leaf values must lie in 0..255"),
+            (dict(v=1, first_labels=np.ones(4, np.int32),
+                  level_labels=[np.ones(4, np.int32)],
+                  leaf_values=np.array([7, 7, 7, 8], np.uint8)),
+             "V=1 codes must have a single leaf value"),
+        ],
+    )
+    def test_invalid_fields_raise(self, changes, message):
+        with pytest.raises(FormatError, match=f"^{re.escape(message)}$"):
+            vvar.VVarCode(**self._fields(**changes))
+
+    @pytest.mark.parametrize("name", ["depth", "v", "first_labels", "leaf_values"])
+    def test_fields_cannot_be_reassigned(self, name):
+        code = vvar.VVarCode(**self._fields())
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(code, name, getattr(code, name))
