@@ -46,8 +46,8 @@ def pack(fields: np.ndarray, widths: Sequence[int]) -> bytes:
     )
 
 
-def unpack(data: bytes, n: int, widths: Sequence[int]) -> tuple[np.ndarray, int]:
-    """Read n packed records; return the (n, m) int64 fields and bytes used.
+def unpack(data: bytes, n: int, widths: Sequence[int]) -> np.ndarray:
+    """Read n packed records as an (n, m) int64 array of fields.
 
     Raises FormatError when data is too short or the pad bits are not zero.
     """
@@ -69,4 +69,4 @@ def unpack(data: bytes, n: int, widths: Sequence[int]) -> tuple[np.ndarray, int]
         bits = np.unpackbits(chunk, count=rows * row_bits)
         lanes[:rows, cols] = bits.reshape(rows, row_bits)
         out[i:i + rows] = np.packbits(lanes[:rows], axis=1).view(">u4")
-    return out, nbytes
+    return out

@@ -146,7 +146,7 @@ def cmd_fractal(args: argparse.Namespace) -> int:
         values = np.random.default_rng([args.seed & ((1 << 64) - 1), 1]).integers(
             0, 256, size=args.v
         )
-        img = fractalgen.render_vvariable_square(skeleton, values, args.depth)
+        img = vvar.decode(fractalgen.skeleton_to_code(skeleton, values, args.depth))
     _write_atomic(args.output, save_pgm(img))
     return 0
 

@@ -111,15 +111,6 @@ def _score_block(
     return scores
 
 
-def _run(idx: np.ndarray) -> np.ndarray | slice:
-    """A slice over sorted, distinct indices when they are consecutive (as
-    in a first centroid update), so that indexing takes a view; else the
-    indices."""
-    if len(idx) and idx[-1] - idx[0] == len(idx) - 1:
-        return slice(int(idx[0]), int(idx[-1]) + 1)
-    return idx
-
-
 def _margins(
     p2: np.ndarray, dim: int, half_c2: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -325,13 +316,14 @@ def _lloyd(
             counts[j] = 1
         # bincount adds each cluster's members in point order, so a cluster
         # that kept its members keeps its sum bit for bit; the first update
-        # touches every cluster
+        # touches every cluster, and takes every point as a view, not a copy
         touched = np.full(k, not recent)
+        members: slice | np.ndarray = slice(None)
         if recent:
             changed = labels != recent[0]
             touched[labels[changed]] = True
             touched[recent[0][changed]] = True
-        members = _run(np.flatnonzero(touched[labels]))
+            members = np.flatnonzero(touched[labels])
         sums[touched] = _label_sums(points[members], labels[members], k)[touched]
         centroids = sums / np.maximum(counts, 1)[:, None]
         sse = float(((points - centroids[labels]) ** 2).sum())
@@ -387,24 +379,21 @@ def canonicalize_labels(result: ClusterResult) -> ClusterResult:
     """Renumber clusters in order of first appearance in the label array.
 
     Label j of the output is the j-th distinct input label encountered while
-    scanning left to right; centroids are permuted to match. Clusters that
-    own no points keep their centroids, appended after the used ones in
-    original order. Idempotent, SSE unchanged.
+    scanning left to right; centroids are permuted to match. Every cluster
+    must own a point, as each kmeans result's does, else ValueError.
+    Idempotent, SSE unchanged.
     """
     labels = np.asarray(result.labels)
     k = result.k
     _, first_pos = np.unique(labels, return_index=True)
-    used_old = labels[np.sort(first_pos)]  # old labels by first appearance
-    u = len(used_old)
+    if len(first_pos) != k:
+        raise ValueError(f"{k - len(first_pos)} of {k} clusters own no point")
+    old = labels[np.sort(first_pos)]  # old labels by first appearance
     mapping = np.zeros(k + 1, dtype=np.int64)
-    mapping[used_old] = np.arange(1, u + 1)
-    unused = mapping[1:] == 0  # unused old labels, in original order
-    mapping[1:][unused] = np.arange(u + 1, k + 1)
-    order = np.empty(k, dtype=np.int64)
-    order[mapping[1:] - 1] = np.arange(k)
+    mapping[old] = np.arange(1, k + 1)
     return ClusterResult(
         labels=mapping[labels],
-        centroids=result.centroids[order],
+        centroids=result.centroids[old - 1],
         sse=result.sse,
         sse_history=list(result.sse_history),
     )

@@ -84,7 +84,7 @@ class FbcParams:
     def check_side(self, side: int) -> None:
         if side > 2 ** MAX_DEPTH:
             raise ValueError(f"image side {side} exceeds {2 ** MAX_DEPTH}")
-        if side % self.small_size or side % self.large_size:
+        if side % self.large_size:
             raise ValueError(
                 f"block sizes {self.small_size}/{self.large_size} do not "
                 f"divide image side {side}"
@@ -423,5 +423,4 @@ def deserialize(data: bytes) -> FbcCode:
     expected = HEADER_BYTES + (n * sum(widths) + 7) // 8
     if len(data) != expected:
         raise FormatError(f"stream has {len(data)} bytes, expected {expected}")
-    entries, _ = unpack(data[HEADER_BYTES:], n, widths)
-    return FbcCode(depth, s, entries.astype(np.int32))
+    return FbcCode(depth, s, unpack(data[HEADER_BYTES:], n, widths).astype(np.int32))

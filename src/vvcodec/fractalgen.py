@@ -16,7 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import vvar
-from .imaging import PixelImage
 
 MERGE_TOL = 1e-12
 
@@ -85,15 +84,14 @@ class CodeTreeLevels:
 class SkeletonMatrix:
     """(V*M) x depth grid of node types.
 
-    Column k (1-based) row (L-1)*M + i gives the type of child i of a type-L
-    node at level k-1. Entries are 1..V; 0 marks a slot that is never
-    reachable and must never be read during propagation.
+    The root has type 1. Column k (1-based) row (L-1)*M + i gives the type
+    of child i of a type-L node at level k-1. Entries are 1..V; 0 marks a
+    slot that is never reachable and must never be read during propagation.
     """
 
     v: int
     m: int
     entries: np.ndarray
-    root_type: int = 1
 
     def __post_init__(self) -> None:
         e = np.asarray(self.entries, dtype=np.int64)
@@ -101,8 +99,6 @@ class SkeletonMatrix:
             raise ValueError(f"entries must have {self.v * self.m} rows")
         if e.size and (e.min() < 0 or e.max() > self.v):
             raise ValueError("types must lie in 0..V (0 = unused)")
-        if not 1 <= self.root_type <= self.v:
-            raise ValueError("root_type must lie in 1..V")
         self.entries = e
 
     @property
@@ -215,7 +211,7 @@ def expand_skeleton(s: SkeletonMatrix, q: LabelMatrix) -> CodeTreeLevels:
         )
     if q.values.shape[1] < s.v:
         raise ValueError("label matrix has fewer columns than types")
-    types = np.array([s.root_type], dtype=np.int64)
+    types = np.ones(1, dtype=np.int64)
     levels: list[np.ndarray] = []
     for k in range(s.depth + 1):
         labels = q.values[k, types - 1]
@@ -234,14 +230,6 @@ def random_skeleton(v: int, m: int, depth: int, seed: int) -> SkeletonMatrix:
     rng = np.random.default_rng(seed & ((1 << 64) - 1))
     entries = rng.integers(1, v + 1, size=(v * m, depth), dtype=np.int64)
     return SkeletonMatrix(v=v, m=m, entries=entries)
-
-
-def render_vvariable_square(
-    s: SkeletonMatrix, values: np.ndarray, depth: int
-) -> PixelImage:
-    """Colour the unit square by type: each level-`depth` cell (one pixel)
-    takes the gray value of its type."""
-    return vvar.decode(skeleton_to_code(s, values, depth))
 
 
 def skeleton_to_code(
@@ -266,7 +254,7 @@ def skeleton_to_code(
     n0 = vvar.compute_n0(s.v, depth)
 
     # types of level-(n0+1) nodes in address-lexicographic order
-    first = np.array([s.root_type], dtype=np.int64)
+    first = np.ones(1, dtype=np.int64)
     for k in range(n0 + 1):
         first = _child_types(s, first, k)
     # deeper levels only need the set of types that occur

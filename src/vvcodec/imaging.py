@@ -17,6 +17,7 @@ clamping to 0..255 happens only when a PixelImage is produced.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,7 +28,8 @@ QuadAddress = tuple[int, ...]
 _DIGIT_ROW = (1, 0, 1, 0)
 _DIGIT_COL = (0, 0, 1, 1)
 
-_WHITESPACE = frozenset(b" \t\n\r\x0b\x0c")
+# a PGM header token after any whitespace and "#" comments (to end of line)
+_TOKEN = re.compile(rb"(?:\s|#[^\n\r]*)*(\S*)")
 
 MAX_DEPTH = 12  # deepest quadtree either codec holds: a 4096 x 4096 image
 
@@ -72,22 +74,10 @@ class PixelImage:
 
 
 def _next_token(data: bytes, pos: int) -> tuple[bytes, int]:
-    n = len(data)
-    while pos < n:
-        c = data[pos]
-        if c in _WHITESPACE:
-            pos += 1
-        elif c == 0x23:  # '#' comment runs to end of line
-            while pos < n and data[pos] not in (0x0A, 0x0D):
-                pos += 1
-        else:
-            break
-    start = pos
-    while pos < n and data[pos] not in _WHITESPACE:
-        pos += 1
-    if start == pos:
+    match = _TOKEN.match(data, pos)
+    if not match[1]:
         raise FormatError("truncated PGM header")
-    return data[start:pos], pos
+    return match[1], match.end()
 
 
 def load_pgm(data: bytes) -> PixelImage:
@@ -113,7 +103,7 @@ def load_pgm(data: bytes) -> PixelImage:
         raise FormatError(f"image side {width} is not a power of two")
     if maxval != 255:
         raise FormatError(f"unsupported maxval {maxval} (need 255)")
-    if pos >= len(data) or data[pos] not in _WHITESPACE:
+    if not data[pos:pos + 1].isspace():
         raise FormatError("missing whitespace before PGM raster")
     raster = data[pos + 1:]
     if len(raster) != width * height:

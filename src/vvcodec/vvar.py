@@ -24,7 +24,7 @@ Decoding is pure label propagation and touches each pixel once.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,7 +48,7 @@ VERSION = 1
 HEADER_BYTES = 10  # magic + version byte + depth byte + V as u32 big-endian
 
 
-def compute_n0(v: int, depth: int = 9) -> int:
+def compute_n0(v: int, depth: int) -> int:
     """The unique n0 with 4**n0 <= v < 4**(n0+1)."""
     if not MIN_DEPTH <= depth <= MAX_DEPTH:
         raise ValueError(f"depth {depth} out of range {MIN_DEPTH}..{MAX_DEPTH}")
@@ -69,8 +69,8 @@ class VVarCode:
     depth: int
     v: int
     first_labels: np.ndarray
-    level_labels: list[np.ndarray] = field(default_factory=list)
-    leaf_values: np.ndarray = field(default_factory=lambda: np.zeros(0, np.uint8))
+    level_labels: list[np.ndarray]
+    leaf_values: np.ndarray
 
     @property
     def n0(self) -> int:
@@ -224,7 +224,7 @@ def _layout(v: int, depth: int) -> tuple[int, int, int]:
     return label_count, (v - 1).bit_length(), 1 if v == 1 else 4 * v
 
 
-def payload_size(v: int, depth: int = 9) -> int:
+def payload_size(v: int, depth: int) -> int:
     """Exact payload size in bytes for a (V, depth) code.
 
     ceil(count * ceil(log2 V) / 8) + leaf bytes, for count = 4**(n0+1) +
@@ -271,19 +271,15 @@ def deserialize(data: bytes) -> VVarCode:
         raise FormatError(
             f"stream has {len(data)} bytes, expected {expected}"
         )
-    raw, used = unpack(data[HEADER_BYTES:], count, [width])
-    labels = raw[:, 0]
+    labels = unpack(data[HEADER_BYTES:], count, [width])[:, 0]
     bad = np.flatnonzero(labels >= v)
     if bad.size:
         raise FormatError(f"label {labels[bad[0]] + 1} out of range 1..{v}")
     labels = (labels + 1).astype(np.int32)
     first_count = 4 ** (n0 + 1)
     level_labels = list(labels[first_count:].reshape(-1, 4 * v))
-    leaf_start = HEADER_BYTES + used
-    # at V=1 the one stored byte fills all four leaves
-    leaf_values = np.resize(
-        np.frombuffer(data[leaf_start:leaf_start + leaf_bytes], np.uint8), 4 * v
-    )
+    # the leaves end the stream; at V=1 the one stored byte fills all four
+    leaf_values = np.resize(np.frombuffer(data[-leaf_bytes:], np.uint8), 4 * v)
     return VVarCode(depth, v, labels[:first_count], level_labels, leaf_values)
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import subprocess
 import sys
 
@@ -292,6 +293,28 @@ class TestFractalCommand:
         assert status == 0
         img = load_pgm(out_pgm.read_bytes())
         assert len(np.unique(img.data)) == 1
+
+    @pytest.mark.parametrize(
+        "v,seed,depth,digest",
+        [
+            (4, 7, 9,
+             "8709c407d7a4df6ae800556080c8698060b9d7d0417e47ce7ce9d3a8e5adb3b8"),
+            (37, 3, 6,
+             "3d9498b54e36820b8a62570b31449e02be73f29eb3de127f8f9af716327b87ab"),
+            (1023, 11, 7,
+             "2344c64766acc6f900a9b95f8dd3bc3a2feb4a52d58441663a05b984f3d247c7"),
+        ],
+    )
+    def test_vsquare_random_skeleton_pinned(
+        self, capsys, tmp_path, v, seed, depth, digest
+    ):
+        out_pgm = tmp_path / "sq.pgm"
+        status, out, _ = run_cli(
+            capsys, "fractal", "vsquare", out_pgm,
+            "--v", v, "--seed", seed, "--depth", depth,
+        )
+        assert status == 0 and out == ""
+        assert hashlib.sha256(out_pgm.read_bytes()).hexdigest() == digest
 
     @pytest.mark.parametrize(
         "entry", ["99999999999999999999", str(2 ** 63), str(-(2 ** 63) - 1)]

@@ -111,6 +111,27 @@ class TestKmeans:
         res = kmeans(pts, ClusterOptions(k=3, seed=0))
         assert res.sse == 0.0
 
+    @settings(settings.get_profile("fuzz"), max_examples=200)
+    @given(
+        st.integers(1, 40), st.integers(1, 3), st.integers(1, 40),
+        st.integers(1, 3), st.integers(1, 3), st.booleans(),
+        st.integers(0, 2 ** 32 - 1),
+    )
+    def test_every_cluster_owns_a_point(
+        self, n, dim, k, restarts, max_iterations, equal_start, seed
+    ):
+        # canonicalize_labels relies on it: duplicate-heavy integer points,
+        # often fewer distinct than k, and starts with every centroid equal
+        rng = np.random.default_rng(seed)
+        k = min(k, n)
+        pts = rng.integers(0, 3, (n, dim)).astype(np.float64)
+        opts = ClusterOptions(
+            k=k, max_iterations=max_iterations, restarts=restarts, seed=seed
+        )
+        start = np.repeat(pts[:1], k, axis=0) if equal_start else None
+        res = kmeans(pts, opts, initial_centroids=start)
+        assert np.array_equal(np.unique(res.labels), np.arange(1, k + 1))
+
     def test_empty_cluster_skips_a_lone_farthest_point(self):
         # no point is nearest to -100; 10 is farthest from it but alone in
         # its cluster, so the repair moves 0.1, the next farthest
@@ -208,7 +229,8 @@ class TestCanonicalize:
 
     def test_idempotent_and_partition_preserving(self):
         rng = np.random.default_rng(8)
-        labels = rng.integers(1, 5, 20)
+        labels = rng.integers(1, 7, 20)
+        assert len(np.unique(labels)) == 6
         res = self._result(labels, 6)
         once = canonicalize_labels(res)
         twice = canonicalize_labels(once)
@@ -221,11 +243,9 @@ class TestCanonicalize:
                     once.labels[i] == once.labels[j]
                 )
 
-    def test_unused_clusters_keep_centroids(self):
-        res = canonicalize_labels(self._result([2, 2], 3))
-        assert res.labels.tolist() == [1, 1]
-        assert sorted(res.centroids.ravel().tolist()) == [0.0, 10.0, 20.0]
-        assert res.centroids[0, 0] == 10.0
+    def test_unused_cluster_raises(self):
+        with pytest.raises(ValueError, match="2 of 3 clusters own no point"):
+            canonicalize_labels(self._result([2, 2], 3))
 
 
 def brute_force_assign(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:

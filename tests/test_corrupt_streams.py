@@ -72,7 +72,7 @@ def test_vvc1_wrong_length_rejected(blob):
 def test_vvc1_planted_label_rejected(seed, data):
     # V not a power of two, so the label field can hold a raw value >= V
     v = data.draw(st.sampled_from([3, 5, 6, 7, 11, 17, 33, 100, 1000]))
-    n0 = vvar.compute_n0(v)
+    n0 = vvar.compute_n0(v, 9)
     depth = data.draw(st.integers(n0 + 3, min(9, n0 + 4)))  # >= 1 mid table
     code = random_vvar_code(np.random.default_rng(seed), v=v, depth=depth)
     labels = np.concatenate([code.first_labels, *code.level_labels]) - 1

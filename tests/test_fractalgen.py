@@ -5,6 +5,7 @@ import pytest
 
 from conftest import DEMO_ADDRESS, DEMO_MATRIX, constant_image, distinct_block_count
 from vvcodec import fractalgen as fg
+from vvcodec import vvar
 
 
 def compose_all(ifs, n):
@@ -191,7 +192,7 @@ def walk_pixels(skeleton, values, depth):
     img = np.zeros((side, side), dtype=np.int64)
     zero_column = None
     for addr in itertools.product((1, 2, 3, 4), repeat=depth):
-        node_type, row, col = skeleton.root_type, 0, 0
+        node_type, row, col = 1, 0, 0
         for k, digit in enumerate(addr):
             node_type = int(skeleton.entries[4 * (node_type - 1) + digit - 1, k])
             if node_type == 0:
@@ -207,7 +208,7 @@ def walk_pixels(skeleton, values, depth):
 class TestRenderSquare:
     def test_single_type_constant(self):
         skeleton = fg.random_skeleton(1, 4, 5, seed=0)
-        img = fg.render_vvariable_square(skeleton, np.array([77]), 5)
+        img = vvar.decode(fg.skeleton_to_code(skeleton, np.array([77]), 5))
         assert np.array_equal(img.data, constant_image(77, depth=5).data)
 
     def test_demo_matrix_render(self, demo_code, demo_image):
@@ -222,7 +223,7 @@ class TestRenderSquare:
         )
         entries = np.hstack([trivial, label_cols, leaf_types])
         skeleton = fg.SkeletonMatrix(v=4, m=4, entries=entries)
-        img = fg.render_vvariable_square(skeleton, values, 9)
+        img = vvar.decode(fg.skeleton_to_code(skeleton, values, 9))
         assert np.array_equal(img.data, demo_image.data)
         row = col = 0
         for d in DEMO_ADDRESS:
@@ -234,13 +235,11 @@ class TestRenderSquare:
         rng = np.random.default_rng(1)
         for v, depth in ((1, 2), (3, 2), (2, 3), (15, 3), (5, 4), (16, 5), (200, 5)):
             skeleton = fg.random_skeleton(v, 4, depth, seed=int(rng.integers(1e9)))
-            skeleton.root_type = int(rng.integers(1, v + 1))
             values = rng.integers(0, 256, v)
             want, zero_column = walk_pixels(skeleton, values, depth)
             assert zero_column is None
-            assert np.array_equal(
-                fg.render_vvariable_square(skeleton, values, depth).data, want
-            )
+            img = vvar.decode(fg.skeleton_to_code(skeleton, values, depth))
+            assert np.array_equal(img.data, want)
 
     def test_zero_slots_match_pixel_walker(self):
         # a 0 on a slot that some pixel's walk reads raises and names the
@@ -260,7 +259,7 @@ class TestRenderSquare:
             want, zero_column = walk_pixels(skeleton, values, depth)
             if zero_column is None:
                 outcomes["rendered"] += 1
-                img = fg.render_vvariable_square(skeleton, values, depth)
+                img = vvar.decode(fg.skeleton_to_code(skeleton, values, depth))
                 assert np.array_equal(img.data, want)
             else:
                 outcomes["raised"] += 1
@@ -268,29 +267,26 @@ class TestRenderSquare:
                     ValueError,
                     match=f"unused skeleton entry read in column {zero_column}$",
                 ):
-                    fg.render_vvariable_square(skeleton, values, depth)
+                    fg.skeleton_to_code(skeleton, values, depth)
         assert min(outcomes.values()) >= 10
 
     @pytest.mark.parametrize("gray", [300, -1])
     def test_gray_values_out_of_range(self, gray):
         skeleton = fg.random_skeleton(2, 4, 4, seed=0)
-        for build in (fg.render_vvariable_square, fg.skeleton_to_code):
-            with pytest.raises(ValueError, match="gray values"):
-                build(skeleton, [0, gray], 4)
+        with pytest.raises(ValueError, match="gray values"):
+            fg.skeleton_to_code(skeleton, [0, gray], 4)
 
     def test_codec_range_enforced(self):
         # depth 1, and V >= 4**(depth-1), have no VVC1 code
         with pytest.raises(ValueError, match="depth 1"):
-            fg.render_vvariable_square(fg.random_skeleton(1, 4, 1, 0), [9], 1)
+            fg.skeleton_to_code(fg.random_skeleton(1, 4, 1, 0), [9], 1)
         with pytest.raises(ValueError, match="V=16"):
-            fg.render_vvariable_square(
-                fg.random_skeleton(16, 4, 2, 0), np.zeros(16, int), 2
-            )
+            fg.skeleton_to_code(fg.random_skeleton(16, 4, 2, 0), np.zeros(16, int), 2)
 
     def test_distinct_blocks_bounded(self):
         skeleton = fg.random_skeleton(3, 4, 6, seed=9)
         values = np.array([0, 128, 255])
-        img = fg.render_vvariable_square(skeleton, values, 6)
+        img = vvar.decode(fg.skeleton_to_code(skeleton, values, 6))
         for level in range(7):
             assert distinct_block_count(img, level) <= max(
                 3, 1 if level == 0 else 3
@@ -299,7 +295,7 @@ class TestRenderSquare:
     def test_depth_insufficient(self):
         skeleton = fg.random_skeleton(2, 4, 3, seed=0)
         with pytest.raises(ValueError):
-            fg.render_vvariable_square(skeleton, np.array([0, 255]), 4)
+            fg.skeleton_to_code(skeleton, np.array([0, 255]), 4)
 
 
 class TestTextFormats:

@@ -77,6 +77,40 @@ class TestPgm:
         assert load_pgm(data).data.tolist() == [[1, 2], [3, 4]]
 
     @pytest.mark.parametrize(
+        "blob,want",
+        [
+            pytest.param(b"P5\n#c\n2 2 255\n" + bytes(4), 2, id="comment-after-P5"),
+            pytest.param(
+                b"P5#c 2 2 255\n" + bytes(4), "not a binary PGM", id="hash-in-token"
+            ),
+            pytest.param(b"P5 #c\r2 2 255\n" + bytes(4), 2, id="CR-ended-comment"),
+            pytest.param(b"P5 2 2 #c\r\n255\r" + bytes(4), 2, id="CR-before-raster"),
+            pytest.param(
+                b"P5 2 2 255#c\n" + bytes(4), "bad PGM header field",
+                id="comment-glued-to-maxval",
+            ),
+            pytest.param(b"P5 2 2 #c", "truncated PGM header", id="comment-to-EOF"),
+            pytest.param(
+                b"P5\x0b2\x0c2\x0b255\x0c" + bytes(4), 2, id="VT-FF-separators"
+            ),
+            pytest.param(
+                b"P5 +512 512 255\n" + bytes(512 * 512), 512, id="plus-sign"
+            ),
+            pytest.param(
+                b"P5 2 2 255", "missing whitespace before PGM raster",
+                id="no-byte-before-raster",
+            ),
+            pytest.param(b"P5 2 2 255 " + b"\n" * 4, 2, id="whitespace-raster"),
+        ],
+    )
+    def test_header_tokens(self, blob, want):
+        if isinstance(want, str):
+            with pytest.raises(FormatError, match=want):
+                load_pgm(blob)
+        else:
+            assert load_pgm(blob).side == want
+
+    @pytest.mark.parametrize(
         "blob",
         [
             b"P6 2 2 255\n" + bytes(4),          # wrong magic

@@ -29,7 +29,7 @@ class TestComputeN0:
 
     def test_out_of_range(self):
         with pytest.raises(ValueError):
-            vvar.compute_n0(0)
+            vvar.compute_n0(0, depth=9)
         with pytest.raises(ValueError):
             vvar.compute_n0(4 ** 8, depth=9)
         with pytest.raises(ValueError):
@@ -215,7 +215,7 @@ class TestPayloadSize:
 
     def test_out_of_range(self):
         with pytest.raises(ValueError):
-            vvar.payload_size(0)
+            vvar.payload_size(0, depth=9)
         with pytest.raises(ValueError):
             vvar.payload_size(4 ** 8, depth=9)
 
