@@ -84,12 +84,8 @@ def cmd_fbc(args: argparse.Namespace) -> int:
         return 0
     if data[:4] == fbc.MAGIC:
         code = fbc.deserialize(data)
-        if args.small is not None and args.small != code.small_size:
-            raise _UsageError(
-                f"--small {args.small} conflicts with the code's "
-                f"{code.small_size}"
-            )
-        params = fbc.FbcParams(code.small_size, args.iters)
+        small = code.small_size if args.small is None else args.small
+        params = fbc.FbcParams(small, args.iters)
         _write_atomic(args.output, save_pgm(fbc.fbc_decode(code, params)))
         return 0
     raise FormatError("input is neither a PGM image nor an FBC1 stream")

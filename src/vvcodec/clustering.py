@@ -224,8 +224,7 @@ def _pruned(
         order = np.argsort(means)
         labels = corder[np.minimum(np.searchsorted(cm, means), k - 1)]
         best = np.empty(n)
-        margin, slack = _margins(p2, dim, half_c2)
-        redo = order
+        moved = np.ones(k, dtype=bool)
     else:
         p2, means, order = prev.p2, prev.means, prev.order
         labels = prev.labels.copy()
@@ -233,24 +232,24 @@ def _pruned(
         moved = (centroids != prev.centroids).any(axis=1)
         if not moved.any():
             return prev._replace(centroids=centroids), unsure
-        # an unmoved centroid keeps its full-pass bits, so the old label, the
-        # full pass's, is still the argmin among the unmoved ones; a point
-        # keeps it unless its winner moved or a moved centroid comes within
-        # the margin (<=, so a tie with a lower index is rescored)
-        margin, slack = _margins(p2, dim, half_c2)
-        stale = moved[labels]
-        cols = np.flatnonzero(moved)
-        moved_c, moved_h = centroids[cols], half_c2[cols]
-        keep = np.flatnonzero(~stale)
-        step = max(1, _CHUNK_BYTES // (8 * max(len(cols), dim)))
-        for start in range(0, len(keep), step):
-            # one row per moved centroid: numpy takes a column minimum far
-            # faster than the minimum of each short row
-            idx = keep[start:start + step]
-            scores = moved_c @ points[idx].T
-            np.subtract(moved_h[:, None], scores, out=scores)
-            stale[idx] = scores.min(axis=0) <= best[idx] + margin[idx]
-        redo = order[stale[order]]
+    # an unmoved centroid keeps its full-pass bits, so the old label, the
+    # full pass's, is still the argmin among the unmoved ones; a point
+    # keeps it unless its winner moved or a moved centroid comes within
+    # the margin (<=, so a tie with a lower index is rescored)
+    margin, slack = _margins(p2, dim, half_c2)
+    stale = moved[labels]
+    cols = np.flatnonzero(moved)
+    moved_c, moved_h = centroids[cols], half_c2[cols]
+    keep = np.flatnonzero(~stale)
+    step = max(1, _CHUNK_BYTES // (8 * max(len(cols), dim)))
+    for start in range(0, len(keep), step):
+        # one row per moved centroid: numpy takes a column minimum far
+        # faster than the minimum of each short row
+        idx = keep[start:start + step]
+        scores = moved_c @ points[idx].T
+        np.subtract(moved_h[:, None], scores, out=scores)
+        stale[idx] = scores.min(axis=0) <= best[idx] + margin[idx]
+    redo = order[stale[order]]
 
     # a row's label stands only if its winner beats every other score in its
     # window by more than the margin; the guess lies in the window, so the

@@ -32,7 +32,6 @@ from .imaging import MAX_DEPTH, FormatError, PixelImage, downsample2x, row_keys
 
 ALPHA_BITS = 4
 BETA_BITS = 9
-_VAR_EPS = 1e-6  # guards alpha against roundoff on constant domain blocks
 # q * _ALPHA_STEP - 1 equals alpha_value(q) bit for bit on the 16 levels
 _ALPHA_STEP = 1.0 / 7.5
 # float64 cells per search buffer (1 MiB). A tile has this many cells
@@ -216,7 +215,7 @@ def _rho2_slack(n: int) -> float:
     the float64 floor (error ~n * 2^-53) and its float32 cast.
     """
     g = (n + 5) * 2.0 ** -24
-    eps = g / (1.0 - g) if g < 1.0 else np.inf
+    eps = g / (1.0 - g)  # n <= 128^2, so g <= 16389 * 2^-24 < 1
     return eps * (2.0 + eps) + 2.0 ** -22
 
 
@@ -295,8 +294,10 @@ def fbc_encode(img: PixelImage, params: FbcParams) -> FbcCode:
     var_l = sum_l2 - sum_l * sum_l / n  # n * variance
     # 2 * b * sum_s is an exact integer either way
     row_consts = (sum_s / n, np.einsum("ij,ij->i", small, small), 2.0 * sum_s)
-    # flat domains get alpha = cov / inf = +-0, which quantizes like alpha = 0
-    var_div = np.where(var_l > _VAR_EPS, var_l, np.inf)
+    # pixels and 2x2 means are quarter-integers and n <= 128^2, so sum_l,
+    # sum_l2, sum_l^2 / n and var_l are exact: var_l is 0 on a flat domain,
+    # else >= 1 / (16n). Flat ones get alpha = +-0, which quantizes like 0
+    var_div = np.where(var_l > 0.0, var_l, np.inf)
     col_consts = (sum_l, sum_l / n, sum_l2, var_div)
 
     # one tile of rows at a time: its rho band gives each row's candidates,
@@ -375,7 +376,8 @@ def fbc_decode(
     if params is None:
         params = FbcParams(code.small_size)
     if params.small_size != code.small_size:
-        raise ValueError("params.small_size does not match the code")
+        raise ValueError(f"small size {params.small_size} does not match "
+                         f"the code's {code.small_size}")
     side = 2 ** code.depth
     current = np.full((side, side), float(init))
     for _ in range(params.decode_iterations):

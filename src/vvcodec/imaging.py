@@ -92,10 +92,10 @@ def load_pgm(data: bytes) -> PixelImage:
     fields = []
     for _ in range(3):
         token, pos = _next_token(data, pos)
-        try:
-            fields.append(int(token))
-        except ValueError:
-            raise FormatError(f"bad PGM header field {token!r}") from None
+        # netpbm writes these fields in ASCII decimal: no sign, no underscore
+        if not token.isdigit():
+            raise FormatError(f"bad PGM header field {token!r}")
+        fields.append(int(token))
     width, height, maxval = fields
     if width != height:
         raise FormatError(f"image is {width}x{height}, not square")

@@ -83,22 +83,24 @@ class VVarCode:
             raise FormatError(
                 f"first_labels must have length {4 ** (n0 + 1)}, got {first.shape}"
             )
-        tables = [first] + [np.asarray(t) for t in self.level_labels]
-        if len(self.level_labels) != max(0, self.depth - 1 - (n0 + 1)):
+        tables = [np.asarray(t) for t in self.level_labels]
+        if len(tables) != self.depth - n0 - 2:
             raise FormatError(
-                f"expected {max(0, self.depth - n0 - 2)} mid-level tables, "
-                f"got {len(self.level_labels)}"
+                f"expected {self.depth - n0 - 2} mid-level tables, "
+                f"got {len(tables)}"
             )
-        for t in tables[1:]:
+        for t in tables:
             if t.shape != (4 * self.v,):
                 raise FormatError("mid-level label tables must have length 4V")
-        for t in tables:
-            if t.size and (t.min() < 1 or t.max() > self.v):
-                raise FormatError("label out of range 1..V")
+        # in stream order, so a corrupt stream names its first bad label
+        labels = np.concatenate([first, *tables])
+        bad = np.flatnonzero((labels < 1) | (labels > self.v))
+        if bad.size:
+            raise FormatError(f"label {labels[bad[0]]} out of range 1..{self.v}")
         leaves = np.asarray(self.leaf_values)
         if leaves.shape != (4 * self.v,):
             raise FormatError(f"leaf_values must have length {4 * self.v}")
-        if leaves.size and (leaves.min() < 0 or leaves.max() > 255):
+        if leaves.min() < 0 or leaves.max() > 255:
             raise FormatError("leaf values must lie in 0..255")
         # V=1 stores its leaf table as the first byte
         if self.v == 1 and len(set(int(x) for x in leaves)) != 1:
@@ -271,11 +273,7 @@ def deserialize(data: bytes) -> VVarCode:
         raise FormatError(
             f"stream has {len(data)} bytes, expected {expected}"
         )
-    labels = unpack(data[HEADER_BYTES:], count, [width])[:, 0]
-    bad = np.flatnonzero(labels >= v)
-    if bad.size:
-        raise FormatError(f"label {labels[bad[0]] + 1} out of range 1..{v}")
-    labels = (labels + 1).astype(np.int32)
+    labels = (unpack(data[HEADER_BYTES:], count, [width])[:, 0] + 1).astype(np.int32)
     first_count = 4 ** (n0 + 1)
     level_labels = list(labels[first_count:].reshape(-1, 4 * v))
     # the leaves end the stream; at V=1 the one stored byte fills all four
@@ -298,19 +296,8 @@ def code_from_matrix(matrix: np.ndarray) -> VVarCode:
     n0 = (v.bit_length() - 1) // 2
     if 4 ** n0 != v:
         raise ValueError(f"matrix form requires V to be a power of 4, got {v}")
-    depth = n0 + m.shape[1]
-    label_cols, leaf_col = m[:, :-1], m[:, -1]
-    if label_cols.size and (label_cols.min() < 1 or label_cols.max() > v):
-        raise ValueError("matrix labels must lie in 1..V")
-    if leaf_col.min() < 0 or leaf_col.max() > 255:
-        raise ValueError("leaf column values must lie in 0..255")
-    return VVarCode(
-        depth=depth,
-        v=v,
-        first_labels=label_cols[:, 0].astype(np.int32),
-        level_labels=[
-            label_cols[:, j].astype(np.int32)
-            for j in range(1, label_cols.shape[1])
-        ],
-        leaf_values=leaf_col.astype(np.uint8),
-    )
+    # the code checks the labels and leaves before anything casts them
+    try:
+        return VVarCode(n0 + m.shape[1], v, m[:, 0], list(m[:, 1:-1].T), m[:, -1])
+    except FormatError as exc:  # a matrix is not a stream
+        raise ValueError(str(exc)) from None

@@ -172,6 +172,17 @@ class TestFbcCommand:
         status, _, _ = run_cli(capsys, "fbc", image_a_path, tmp_path / "x.fbc")
         assert status == 1
 
+    def test_decode_with_another_small_size_refused(
+        self, capsys, small_image_path, tmp_path
+    ):
+        out_fbc = tmp_path / "s.fbc"
+        assert run_cli(capsys, "fbc", small_image_path, out_fbc, "--small", 4)[0] == 0
+        out_pgm = tmp_path / "s.pgm"
+        status, out, err = run_cli(capsys, "fbc", out_fbc, out_pgm, "--small", 8)
+        assert status == 1 and out == ""
+        assert err == "vvcodec: small size 8 does not match the code's 4\n"
+        assert not out_pgm.exists()
+
     def test_garbage_input(self, capsys, tmp_path):
         bad = tmp_path / "bad.bin"
         bad.write_bytes(b"neither")
@@ -317,11 +328,21 @@ class TestFractalCommand:
         assert hashlib.sha256(out_pgm.read_bytes()).hexdigest() == digest
 
     @pytest.mark.parametrize(
-        "entry", ["99999999999999999999", str(2 ** 63), str(-(2 ** 63) - 1)]
+        "text",
+        [
+            *(
+                pytest.param(f"1 1 1\n1 1 1\n1 1 1\n{entry} 1 7\n", id=entry)
+                for entry in
+                ["99999999999999999999", str(2 ** 63), str(-(2 ** 63) - 1)]
+            ),
+            pytest.param("1\n2\n3\n4\n", id="one-column"),
+            pytest.param("1 1 7\n1 1 8\n1 1 7\n1 1 7\n", id="v1-unequal-leaves"),
+        ],
     )
-    def test_vsquare_matrix_entry_beyond_int64(self, capsys, tmp_path, entry):
+    def test_vsquare_matrix_entry_beyond_int64(self, capsys, tmp_path, text):
+        # every matrix the codec cannot hold is a usage error, not corrupt input
         matrix_file = tmp_path / "big.txt"
-        matrix_file.write_text(f"1 1 1\n1 1 1\n1 1 1\n{entry} 1 7\n")
+        matrix_file.write_text(text)
         out_pgm = tmp_path / "sq.pgm"
         status, out, err = run_cli(
             capsys, "fractal", "vsquare", out_pgm, "--matrix", matrix_file

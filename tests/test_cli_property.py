@@ -41,9 +41,10 @@ def _input_files() -> dict[str, list[bytes]]:
             vvar.serialize(random_vvar_code(rng, v=v, depth=depth))
             for v, depth in ((1, 3), (3, 3), (4, 4), (17, 4))
         ],
+        # a one-column grid has no label column, so no depth the codec holds
         "matrix": [
             _matrix_text(rng, v, depth) for v, depth in ((1, 3), (4, 3), (4, 4))
-        ],
+        ] + [b"1\n2\n3\n4"],
     }
 
 

@@ -94,7 +94,12 @@ class TestPgm:
                 b"P5\x0b2\x0c2\x0b255\x0c" + bytes(4), 2, id="VT-FF-separators"
             ),
             pytest.param(
-                b"P5 +512 512 255\n" + bytes(512 * 512), 512, id="plus-sign"
+                b"P5 +512 512 255\n" + bytes(512 * 512), "bad PGM header field",
+                id="plus-sign",
+            ),
+            pytest.param(
+                b"P5 0_2 2 255\n" + bytes(4), "bad PGM header field",
+                id="underscore",
             ),
             pytest.param(
                 b"P5 2 2 255", "missing whitespace before PGM raster",

@@ -250,7 +250,7 @@ class TestSerialization:
             vvar.serialize(self._v1_code(9, leaves=(138, 138, 138, 139)))
 
     def test_v1_label_2_refused(self):
-        with pytest.raises(FormatError, match="label out of range"):
+        with pytest.raises(FormatError, match="label 2 out of range 1..1"):
             vvar.serialize(self._v1_code(9, first=(1, 2, 1, 1)))
 
     @pytest.mark.parametrize("depth", [vvar.MIN_DEPTH, vvar.MAX_DEPTH])
@@ -358,8 +358,9 @@ class TestCodeFromMatrix:
     def test_rejects_bad_labels(self):
         bad = np.ones((4, 3), dtype=np.int64)
         bad[0, 0] = 2  # v=1 admits only label 1
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^label 2 out of range 1..1$") as info:
             vvar.code_from_matrix(bad)
+        assert type(info.value) is ValueError  # a matrix is not a stream
 
     def test_single_type_matrix(self):
         matrix = np.ones((4, 4), dtype=np.int64)
@@ -394,9 +395,9 @@ class TestInvalidCodeCannotBeMade:
             (dict(level_labels=[np.ones(11, np.int32)]),
              "mid-level label tables must have length 4V"),
             (dict(first_labels=np.array([1, 0, 1, 1], np.int32)),
-             "label out of range 1..V"),
+             "label 0 out of range 1..3"),
             (dict(level_labels=[np.full(12, 4, np.int32)]),
-             "label out of range 1..V"),
+             "label 4 out of range 1..3"),
             (dict(leaf_values=np.arange(13, dtype=np.uint8)),
              "leaf_values must have length 12"),
             (dict(leaf_values=np.arange(245, 257)),
