@@ -11,14 +11,14 @@ ch. 3). Identical small blocks are searched once, in tiles of rows of alike
 spread, with one correlation pass per tile: a float32 matmul of mean-removed,
 unit-norm blocks gives each cell's rho, and whatever alpha and beta, the
 error is at least Sss * (1 - rho^2), Sss being the small block's centered
-sum of squares. Each row's upper bound ub is the exact error of a few
+sum of squares. Each row's upper bound ub is the exact error of two
 candidate blocks picked from the same rho. A cell is skipped only when its
 lower bound exceeds ub plus a margin derived from the magnitudes (see
 _ERR_SLACK), so the winner and every cell tied with it survive. The exact
 error expressions then run over the union of the columns that survive for
-any of the tile's rows, in five scratch buffers of at most _TILE_CELLS
-float64 cells each, so memory does not grow with the image, and the output
-is bit for bit that of the full scan.
+any of the tile's rows. Each tile's arrays hold at most _TILE_CELLS cells,
+or one row when a row holds more, so memory does not grow with the image,
+and the output is bit for bit that of the full scan.
 """
 
 from __future__ import annotations
@@ -34,8 +34,8 @@ ALPHA_BITS = 4
 BETA_BITS = 9
 # q * _ALPHA_STEP - 1 equals alpha_value(q) bit for bit on the 16 levels
 _ALPHA_STEP = 1.0 / 7.5
-# float64 cells per search buffer (1 MiB). A tile has this many cells
-# divided by max(n_large, n) rows, so neither its search buffers nor the
+# float64 cells per search array (1 MiB). A tile has this many cells
+# divided by max(n_large, n) rows, so neither its search arrays nor the
 # pixels gathered for one of its candidates exceed it. Larger tiles spread
 # each tile's calls over more rows, but every row of a tile pays for the
 # union of its rows' columns. On image B (2-core Xeon, numpy 2.4, OpenBLAS
@@ -250,17 +250,15 @@ def _least_errors(small, large, cand, row_consts, col_consts, n) -> np.ndarray:
     return err.min(axis=0)
 
 
-def _search_columns(small, large_t, cols, row_consts, col_consts, n, bufs, out):
+def _search_columns(small, large_t, cols, row_consts, col_consts, n, out):
     """Write each row's best (domain, q_alpha, q_beta) over the domains
-    `cols` into out, ties to the lowest index; bufs are five flat scratch
-    buffers of at least len(small) * len(cols) cells."""
-    r, k = len(small), len(cols)
-    cross, aq, b_int, err, tmp = (buf[: r * k].reshape(r, k) for buf in bufs)
-    np.matmul(small, large_t[:, cols], out=cross)
+    `cols` into out, ties to the lowest index."""
+    cross = small @ large_t[:, cols]
+    aq, b_int, err, tmp = np.empty((4, *cross.shape))
     col_consts = tuple(c[cols] for c in col_consts)
     _collage_errors(cross, row_consts, col_consts, n, aq, b_int, err, tmp)
     best = err.argmin(axis=1)
-    at = np.arange(r), best
+    at = np.arange(len(small)), best
     out[:, 0] = cols[best]
     out[:, 1] = np.rint((aq[at] / 2.0 + 1.0) * 7.5)
     out[:, 2] = b_int[at] + 255.0
@@ -308,27 +306,19 @@ def fbc_encode(img: PixelImage, params: FbcParams) -> FbcCode:
     n_small, n_large = len(small), len(large)
     rows = min(n_small, max(1, _TILE_CELLS // max(n_large, n)))
     large_t = np.ascontiguousarray(large.T)
-    bufs = np.empty((5, rows * n_large))
-    rho = np.empty((rows, n_large), dtype=np.float32)
-    hits = np.empty((rows, n_large), dtype=bool)
     keep = np.empty(n_large, dtype=bool)
     found = np.empty((n_small, 3), dtype=np.int32)
     for start in range(0, n_small, rows):
         tile = slice(start, min(start + rows, n_small))
-        r = tile.stop - start
-        band, hit = rho[:r], hits[:r]
-        np.matmul(unit_small[tile], unit_large_t, out=band)
-        # the most and least correlated domain overall, the same among the
-        # domains with at least half the spread of the tile's widest row
-        # (their slope seldom needs clamping), and the flattest domain
+        band = unit_small[tile] @ unit_large_t
+        # the most and least correlated domain among those with at least
+        # half the spread of the tile's widest row, whose slope seldom needs
+        # clamping. Any candidates give a ub no smaller than the winner's
+        # error; these seldom give one far above it
         j0 = min(int(np.searchsorted(sd_large, 0.5 * sd_small[tile.stop - 1])),
                  n_large - 1)
         wide = band[:, j0:]
-        cand = by_sd[np.stack([
-            band.argmax(axis=1), band.argmin(axis=1),
-            wide.argmax(axis=1) + j0, wide.argmin(axis=1) + j0,
-            np.zeros(r, dtype=np.intp),
-        ])]
+        cand = by_sd[np.stack([wide.argmax(axis=1), wide.argmin(axis=1)]) + j0]
         ub = _least_errors(
             small[tile], large, cand, tuple(c[tile] for c in row_consts),
             col_consts, n,
@@ -337,14 +327,11 @@ def fbc_encode(img: PixelImage, params: FbcParams) -> FbcCode:
         # every error is at least Sss * (1 - rho^2): keep rho^2 >= floor
         with np.errstate(divide="ignore"):
             floor = ((1.0 - ub / sss[tile]) - _rho2_slack(n)).astype(np.float32)
-        np.square(band, out=band)
-        np.greater_equal(band, floor[:, None], out=hit)
-        keep[by_sd] = hit.any(axis=0)
+        keep[by_sd] = (np.square(band, out=band) >= floor[:, None]).any(axis=0)
         keep[cand] = True
         _search_columns(
             small[tile], large_t, np.flatnonzero(keep),
-            tuple(c[tile, None] for c in row_consts), col_consts, n,
-            bufs, found[tile],
+            tuple(c[tile, None] for c in row_consts), col_consts, n, found[tile],
         )
     return FbcCode(img.depth, s, found[where])
 

@@ -233,6 +233,18 @@ class TestEncode:
         self.force_tile_rows(monkeypatch, img, s, 3)
         assert fbc.serialize(fbc.fbc_encode(img, params)) == default
 
+    @pytest.mark.parametrize("name", ["dither", "mixed", "noise"])
+    def test_pruning_never_changes_the_answer(self, monkeypatch, name):
+        # an infinite ub makes every floor -inf, so every tile searches
+        # every domain
+        img = adversarial_image(name, 256)
+        params = fbc.FbcParams(4)
+        default = fbc.serialize(fbc.fbc_encode(img, params))
+        monkeypatch.setattr(
+            fbc, "_least_errors", lambda small, *_: np.full(len(small), np.inf)
+        )
+        assert fbc.serialize(fbc.fbc_encode(img, params)) == default
+
     def test_search_scratch_memory_is_bounded(self):
         # 4096 x 1024 (small, large) pairs: 32 MiB per full error matrix
         img = natural_image(41, 128)
