@@ -16,9 +16,11 @@ candidate blocks picked from the same rho. A cell is skipped only when its
 lower bound exceeds ub plus a margin derived from the magnitudes (see
 _ERR_SLACK), so the winner and every cell tied with it survive. The exact
 error expressions then run over the union of the columns that survive for
-any of the tile's rows. Each tile's arrays hold at most _TILE_CELLS cells,
-or one row when a row holds more, so memory does not grow with the image,
-and the output is bit for bit that of the full scan.
+any of the tile's rows. Each tile's error arrays hold at most _TILE_CELLS
+cells, or one row when a row holds more; the pixels its exact search
+gathers are at most one more copy of the side^2 / 4 cell domain table. So
+scratch memory grows no faster than the block tables do, and the output is
+bit for bit that of the full scan.
 """
 
 from __future__ import annotations
@@ -36,11 +38,12 @@ BETA_BITS = 9
 _ALPHA_STEP = 1.0 / 7.5
 # float64 cells per search array (1 MiB). A tile has this many cells
 # divided by max(n_large, n) rows, so neither its search arrays nor the
-# pixels gathered for one of its candidates exceed it. Larger tiles spread
-# each tile's calls over more rows, but every row of a tile pays for the
-# union of its rows' columns. On image B (2-core Xeon, numpy 2.4, OpenBLAS
-# 0.3.31) 2^16 ran s=4, the costliest size, ~1.2x slower, and 2^18 ran s=8
-# ~1.15x slower.
+# pixels gathered for one of its candidates exceed it; those gathered for
+# its exact search, |cols| x n cells, can be the whole domain table, side^2
+# / 4 cells. Larger tiles spread each tile's calls over more rows, but
+# every row of a tile pays for the union of its rows' columns. On image B
+# (2-core Xeon, numpy 2.4, OpenBLAS 0.3.31) 2^16 ran s=4, the costliest
+# size, ~1.2x slower, and 2^18 ran s=8 ~1.15x slower.
 _TILE_CELLS = 1 << 17
 # The search skips a cell only when a lower bound on its exact error exceeds
 # ub, the least computed error of its row's candidates, plus n * _ERR_SLACK.
@@ -50,7 +53,7 @@ _TILE_CELLS = 1 << 17
 # - err sums six terms of magnitude at most 2 * 255^2 * n (9 * 255^2 * n <
 #   2^20 * n in all), each through at most 7 roundings, so it is within
 #   7 * 2^-53 * 2^20 * n < n * 2^-30 of exact: _ERR_SLACK leaves 4x headroom;
-# - cross is exact, and Sss is within (n + 2) float64 ulps of exact;
+# - cross and Sss are exact (see fbc_encode's sums);
 # - _rho2_slack(n) bounds the float32 rounding of rho^2.
 # A wider margin only costs survivors; a narrower one could change output.
 _ERR_SLACK = 2.0 ** -28
@@ -76,16 +79,12 @@ class FbcParams:
         if self.decode_iterations < 1:
             raise ValueError("decode_iterations must be >= 1")
 
-    @property
-    def large_size(self) -> int:
-        return 2 * self.small_size
-
     def check_side(self, side: int) -> None:
         if side > 2 ** MAX_DEPTH:
             raise ValueError(f"image side {side} exceeds {2 ** MAX_DEPTH}")
-        if side % self.large_size:
+        if side % (2 * self.small_size):
             raise ValueError(
-                f"block sizes {self.small_size}/{self.large_size} do not "
+                f"block sizes {self.small_size}/{2 * self.small_size} do not "
                 f"divide image side {side}"
             )
 
@@ -144,18 +143,21 @@ def _grid_blocks(plane: np.ndarray, size: int) -> np.ndarray:
     )
 
 
-def _collage_errors(cross, row_consts, col_consts, n, aq, b_int, err, tmp) -> None:
-    """The quantized fit and its squared error for a block of cells.
+def _collage_errors(cross, row_consts, col_consts, n):
+    """The quantized fit of each cell of a block and its squared error, as
+    (2 * alpha_q, beta_q, err).
 
     `cross` holds sum(SB * LB) for each cell; `row_consts` = (mean_s,
     sum_s2, 2 * sum_s) and `col_consts` = (sum_l, mean_l, sum_l2, var_div)
-    broadcast against it. Fills aq with 2 * alpha_q, b_int with beta_q and
-    err with the error, and overwrites cross. Elementwise IEEE operations on
-    the same operand values give the same bits in any layout, so any subset
-    of cells gets the bits the full error matrix would hold.
+    broadcast against it. Elementwise IEEE operations on the same operand
+    values give the same bits in any layout, so any subset of cells gets
+    the bits the full error matrix would hold.
     """
     ms, sum_s2, two_sum_s = row_consts
     sum_l, mean_l, sum_l2, var_div = col_consts
+    # one block: a full tile's four arrays make the 4 MiB from which numpy
+    # asks for huge pages
+    aq, b_int, err, tmp = np.empty((4, *cross.shape))
     # alpha = (cross - outer(sum_s, sum_l) / n) / var, quantized to aq;
     # n is a power of two, so outer(sum_s / n, sum_l) has the same bits
     np.multiply(ms, sum_l, out=aq)
@@ -182,27 +184,25 @@ def _collage_errors(cross, row_consts, col_consts, n, aq, b_int, err, tmp) -> No
     tmp *= b_int
     err += tmp
     aq *= 2.0
-    cross *= aq
-    err -= cross
+    np.multiply(cross, aq, out=tmp)
+    err -= tmp
     np.multiply(b_int, two_sum_s, out=tmp)
     err -= tmp
     np.multiply(aq, b_int, out=tmp)
     tmp *= sum_l
     err += tmp
+    return aq, b_int, err
 
 
-def _centered_units(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each row's centered sum of squares, and the centered row scaled to
-    unit norm as float32 (all zero for a flat row).
-
-    Centering is exact, since pixels and their 2x2 means are multiples of
-    1/4 and n is a power of two, and the sum of squares has no cancellation,
-    so both are within (n + 2) float64 ulps of exact before the cast.
-    """
-    centered = blocks - blocks.mean(axis=1, keepdims=True)
-    sq = np.einsum("ij,ij->i", centered, centered)
-    centered /= np.where(sq > 0.0, np.sqrt(sq), np.inf)[:, None]
-    return sq, centered.astype(np.float32)
+def _unit_rows(blocks: np.ndarray, sums: np.ndarray, sss: np.ndarray) -> np.ndarray:
+    """Each row centered and scaled to unit norm, as float32 (all zero for a
+    flat row), from its exact sum and centered sum of squares `sss`. Pixels
+    and 2x2 means are multiples of 1/4 and n is a power of two, so centering
+    is exact and each value within 2 float64 roundings of exact before the
+    cast."""
+    centered = blocks - (sums / blocks.shape[1])[:, None]
+    centered /= np.where(sss > 0.0, np.sqrt(sss), np.inf)[:, None]
+    return centered.astype(np.float32)
 
 
 def _rho2_slack(n: int) -> float:
@@ -212,7 +212,7 @@ def _rho2_slack(n: int) -> float:
     their float32 dot product over n pixels errs by at most gamma_n, so
     |rho_hat - rho| <= eps = g / (1 - g) with g = (n + 5) * 2^-24, and
     |rho_hat^2 - rho^2| <= eps * (2 + eps). 2^-22 covers the float32 square,
-    the float64 floor (error ~n * 2^-53) and its float32 cast.
+    the float64 floor (a few ulps, Sss being exact) and its float32 cast.
     """
     g = (n + 5) * 2.0 ** -24
     eps = g / (1.0 - g)  # n <= 128^2, so g <= 16389 * 2^-24 < 1
@@ -241,27 +241,26 @@ def _distinct_by_spread(pixels: np.ndarray, n: int) -> tuple[np.ndarray, np.ndar
 def _least_errors(small, large, cand, row_consts, col_consts, n) -> np.ndarray:
     """Each row's least computed error over its domains cand[:, row], with the
     bits the full search gives those cells."""
-    cross, aq, b_int, err, tmp = np.empty((5, *cand.shape))
+    cross = np.empty(cand.shape)
     for k, domains in enumerate(cand):
         # integer times quarter-integer products: exact in any order
         np.einsum("ij,ij->i", small, large[domains], out=cross[k])
     col_consts = tuple(c[cand] for c in col_consts)
-    _collage_errors(cross, row_consts, col_consts, n, aq, b_int, err, tmp)
-    return err.min(axis=0)
+    return _collage_errors(cross, row_consts, col_consts, n)[2].min(axis=0)
 
 
-def _search_columns(small, large_t, cols, row_consts, col_consts, n, out):
-    """Write each row's best (domain, q_alpha, q_beta) over the domains
-    `cols` into out, ties to the lowest index."""
-    cross = small @ large_t[:, cols]
-    aq, b_int, err, tmp = np.empty((4, *cross.shape))
+def _search_columns(small, large, cols, row_consts, col_consts, n) -> np.ndarray:
+    """Each row's best (domain, q_alpha, q_beta) over the domains `cols`,
+    ties to the lowest index."""
+    # sums of integer times quarter-integer products below 2^53: exact in
+    # any order, so BLAS's layout of the operands cannot change the bits
+    cross = small @ large[cols].T
     col_consts = tuple(c[cols] for c in col_consts)
-    _collage_errors(cross, row_consts, col_consts, n, aq, b_int, err, tmp)
+    aq, b_int, err = _collage_errors(cross, row_consts, col_consts, n)
     best = err.argmin(axis=1)
     at = np.arange(len(small)), best
-    out[:, 0] = cols[best]
-    out[:, 1] = np.rint((aq[at] / 2.0 + 1.0) * 7.5)
-    out[:, 2] = b_int[at] + 255.0
+    q_alpha = np.rint((aq[at] / 2.0 + 1.0) * 7.5)
+    return np.column_stack((cols[best], q_alpha, b_int[at] + 255.0))
 
 
 def fbc_encode(img: PixelImage, params: FbcParams) -> FbcCode:
@@ -277,24 +276,25 @@ def fbc_encode(img: PixelImage, params: FbcParams) -> FbcCode:
     pixels = _grid_blocks(img.data, s)
     distinct, where = _distinct_by_spread(pixels, n)
     small = pixels[distinct].astype(np.float64)
-    sss, unit_small = _centered_units(small)
-    sd_small = np.sqrt(sss)
     large = _grid_blocks(downsample2x(img.data.astype(np.float64)), s)
-    # domains in spread order, for the half-spread candidates
-    var_sq, unit_large = _centered_units(large)
-    by_sd = np.argsort(var_sq, kind="stable")
-    sd_large = np.sqrt(var_sq[by_sd])
-    unit_large_t = np.ascontiguousarray(unit_large[by_sd].T)
-
     sum_s = small.sum(axis=1)
+    sum_s2 = np.einsum("ij,ij->i", small, small)
     sum_l = large.sum(axis=1)
     sum_l2 = np.einsum("ij,ij->i", large, large)
-    var_l = sum_l2 - sum_l * sum_l / n  # n * variance
+    # pixels and 2x2 means are quarter-integers and n <= 128^2, so the sums,
+    # sum^2 / n and each block's centered sum of squares (n * variance) are
+    # exact: var_l is 0 on a flat domain, else >= 1 / (16n)
+    sss = sum_s2 - sum_s * sum_s / n
+    var_l = sum_l2 - sum_l * sum_l / n
+    unit_small = _unit_rows(small, sum_s, sss)
+    sd_small = np.sqrt(sss)  # in the order of _distinct_by_spread's n * Sss
+    # domains in spread order, for the half-spread candidates
+    by_sd = np.argsort(var_l, kind="stable")
+    sd_large = np.sqrt(var_l[by_sd])
+    unit_large = _unit_rows(large, sum_l, var_l)[by_sd]
     # 2 * b * sum_s is an exact integer either way
-    row_consts = (sum_s / n, np.einsum("ij,ij->i", small, small), 2.0 * sum_s)
-    # pixels and 2x2 means are quarter-integers and n <= 128^2, so sum_l,
-    # sum_l2, sum_l^2 / n and var_l are exact: var_l is 0 on a flat domain,
-    # else >= 1 / (16n). Flat ones get alpha = +-0, which quantizes like 0
+    row_consts = (sum_s / n, sum_s2, 2.0 * sum_s)
+    # flat domains get alpha = +-0, which quantizes like 0
     var_div = np.where(var_l > 0.0, var_l, np.inf)
     col_consts = (sum_l, sum_l / n, sum_l2, var_div)
 
@@ -305,16 +305,15 @@ def fbc_encode(img: PixelImage, params: FbcParams) -> FbcCode:
     # candidates
     n_small, n_large = len(small), len(large)
     rows = min(n_small, max(1, _TILE_CELLS // max(n_large, n)))
-    large_t = np.ascontiguousarray(large.T)
     keep = np.empty(n_large, dtype=bool)
     found = np.empty((n_small, 3), dtype=np.int32)
     for start in range(0, n_small, rows):
         tile = slice(start, min(start + rows, n_small))
-        band = unit_small[tile] @ unit_large_t
+        band = unit_small[tile] @ unit_large.T
         # the most and least correlated domain among those with at least
-        # half the spread of the tile's widest row, whose slope seldom needs
-        # clamping. Any candidates give a ub no smaller than the winner's
-        # error; these seldom give one far above it
+        # half the spread of the tile's widest row (its last), whose slope
+        # seldom needs clamping. Any candidates give a ub no smaller than the
+        # winner's error; these seldom give one far above it
         j0 = min(int(np.searchsorted(sd_large, 0.5 * sd_small[tile.stop - 1])),
                  n_large - 1)
         wide = band[:, j0:]
@@ -329,9 +328,9 @@ def fbc_encode(img: PixelImage, params: FbcParams) -> FbcCode:
             floor = ((1.0 - ub / sss[tile]) - _rho2_slack(n)).astype(np.float32)
         keep[by_sd] = (np.square(band, out=band) >= floor[:, None]).any(axis=0)
         keep[cand] = True
-        _search_columns(
-            small[tile], large_t, np.flatnonzero(keep),
-            tuple(c[tile, None] for c in row_consts), col_consts, n, found[tile],
+        found[tile] = _search_columns(
+            small[tile], large, np.flatnonzero(keep),
+            tuple(c[tile, None] for c in row_consts), col_consts, n,
         )
     return FbcCode(img.depth, s, found[where])
 

@@ -54,14 +54,34 @@ BEYOND_INT64 = st.one_of(
 )
 
 
+ENTRIES = st.one_of(st.integers(-1, 256), BEYOND_INT64)
+BLANK = ["", " \t"]
+
+
 @st.composite
-def matrix_with_big_entry(draw):
-    """A coding matrix with one entry that does not fit in int64."""
-    text = draw(st.sampled_from(FILES["matrix"]))
-    rows = [line.split() for line in text.splitlines()]
-    row = rows[draw(st.integers(0, len(rows) - 1))]
-    row[draw(st.integers(0, len(row) - 1))] = str(draw(BEYOND_INT64)).encode()
-    return b"\n".join(b" ".join(r) for r in rows)
+def matrix_files(draw):
+    """A coding matrix drawn by shape: V = 1, a power of 4 or not; one column
+    (leaves only) or more; now and then entries out of range or beyond
+    int64, a ragged row or blank lines."""
+    v = draw(st.sampled_from([1, 4, 16, 2, 3, 5]))
+    width = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    labels = rng.integers(1, v + 1, (4 * v, width - 1))
+    leaves = np.full((4 * v, 1), 7) if v == 1 else rng.integers(0, 256, (4 * v, 1))
+    rows = np.hstack([labels, leaves]).tolist()
+    for _ in range(draw(st.integers(0, 2))):
+        row = rows[draw(st.integers(0, 4 * v - 1))]
+        row[draw(st.integers(0, width - 1))] = draw(ENTRIES)
+    if draw(st.integers(0, 3)) == 0:  # one row an entry short or long
+        row = rows[draw(st.integers(0, 4 * v - 1))]
+        if draw(st.booleans()):
+            row.append(1)
+        else:
+            row.pop()
+    lines = [" ".join(map(str, row)) for row in rows]
+    for _ in range(draw(st.integers(0, 2))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(BLANK)))
+    return "\n".join(lines).encode()
 
 
 def contents(*kinds: str):
@@ -80,7 +100,7 @@ READS = {
     "table": contents("pgm"),
     "cantor": contents(*FILES),
     "codetree": contents(*FILES),
-    "vsquare": st.one_of(matrix_with_big_entry(), contents("matrix")),
+    "vsquare": st.one_of(matrix_files(), contents("matrix")),
 }
 GARBAGE = ["", "x", "1.5", "0x10", "--v"]
 # small, negative and garbage values; flags whose size sets the run time
@@ -144,11 +164,12 @@ def vsquare_matrix(text: bytes):
     return [text, b""], ["fractal", "vsquare", "OUT", "--matrix", "IN"]
 
 
-# matrices the codec cannot hold, which the property draws too rarely to
-# rely on: one column (once an IndexError), V=1 with unequal leaves (once
-# exit 3), an entry beyond int64 (once an OverflowError)
+# half the cases render a drawn matrix, so the shapes the codec cannot hold
+# come up often; the examples pin those that once failed: one column (an
+# IndexError), V=1 with unequal leaves (exit 3), an entry beyond int64 (an
+# OverflowError)
 @CLI_FUZZ
-@given(cli_cases())
+@given(st.one_of(cli_cases(), st.builds(vsquare_matrix, matrix_files())))
 @example(vsquare_matrix(b"1\n2\n3\n4"))
 @example(vsquare_matrix(b"1 1 7\n1 1 8\n1 1 7\n1 1 7\n"))
 @example(vsquare_matrix(b"1 1 1\n1 1 1\n1 1 1\n99999999999999999999 1 7\n"))

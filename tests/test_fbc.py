@@ -50,6 +50,15 @@ def brute_force_best(img: PixelImage, s: int):
     return results
 
 
+# (image, small size), named by the image alone at s = 4. Sizes 32 to 128
+# reach n = 128^2 pixels a block, the most that fbc's exactness bounds hold for
+PRUNING_CASES = {
+    name if s == 4 else f"{name}-{s}": (name, s)
+    for s in (4, 32, 64, 128)
+    for name in ("dither", "mixed", "noise", "two-level")
+}
+
+
 def stress_image(kind: str) -> PixelImage:
     """16x16 inputs that stress the search's bounds."""
     rng = np.random.default_rng(7)
@@ -233,12 +242,12 @@ class TestEncode:
         self.force_tile_rows(monkeypatch, img, s, 3)
         assert fbc.serialize(fbc.fbc_encode(img, params)) == default
 
-    @pytest.mark.parametrize("name", ["dither", "mixed", "noise"])
-    def test_pruning_never_changes_the_answer(self, monkeypatch, name):
+    @pytest.mark.parametrize("name, s", PRUNING_CASES.values(), ids=PRUNING_CASES)
+    def test_pruning_never_changes_the_answer(self, monkeypatch, name, s):
         # an infinite ub makes every floor -inf, so every tile searches
         # every domain
         img = adversarial_image(name, 256)
-        params = fbc.FbcParams(4)
+        params = fbc.FbcParams(s)
         default = fbc.serialize(fbc.fbc_encode(img, params))
         monkeypatch.setattr(
             fbc, "_least_errors", lambda small, *_: np.full(len(small), np.inf)
