@@ -1,5 +1,5 @@
 """Grayscale image primitives: PGM I/O, quadrant addressing, block arithmetic,
-quadtree expansion.
+tile placement.
 
 Images are square with side 2**depth and 8-bit gray values stored row-major,
 row 0 at the top. Quadrant digits 1..4 follow the unit-square convention with
@@ -9,7 +9,7 @@ y pointing up, so with screen coordinates:
 
 ("bottom" means larger row indices). This module is the only one that knows
 the mapping: the others split blocks and expand quadtrees through
-split_quadrants, blocks_at_level and expand_types.
+split_quadrants, blocks_at_level, child_tiles and place_tiles.
 
 Intermediate block values are real-valued float64 arrays; rounding and
 clamping to 0..255 happens only when a PixelImage is produced.
@@ -17,6 +17,7 @@ clamping to 0..255 happens only when a PixelImage is produced.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 
@@ -117,7 +118,7 @@ def load_pgm(data: bytes) -> PixelImage:
 def save_pgm(img: PixelImage) -> bytes:
     """Serialize to binary PGM (P5), single-whitespace header, no comments."""
     header = f"P5 {img.side} {img.side} 255\n".encode("ascii")
-    return header + img.data.tobytes()
+    return b"".join((header, np.ascontiguousarray(img.data)))
 
 
 def _check_address(addr: QuadAddress, depth: int) -> None:
@@ -188,24 +189,33 @@ def blocks_at_level(img: PixelImage, level: int) -> np.ndarray:
     return blocks.reshape(4 ** level, -1).astype(np.float64)
 
 
-def expand_types(grid: np.ndarray, table: np.ndarray) -> np.ndarray:
-    """One quadtree expansion step: parent types -> child values via table.
+def child_tiles(table: np.ndarray) -> np.ndarray:
+    """Each type's 2x2 children as one tile: (V+1, 2, 2) from a 4V table.
 
-    grid holds types in 1..V and table has 4V entries, entry 4(t-1)+d-1
-    giving the value of child digit d of a type-t parent. The child grid, of
-    twice the side, takes table's dtype; each parent's top and bottom child
-    pairs are gathered as one 2-wide item each.
+    Entry 4(t-1)+d-1 of table, child digit d of a type-t parent, lands in
+    tile t at its quadrant's row and column. Tile 0 is all zero, so types
+    index the tiles without subtracting 1.
     """
-    side = grid.shape[0]
-    # cells[half, t] is the top (half 0) or bottom child pair of type t; the
-    # zero row t = 0 lets types index the table without subtracting 1; digit
-    # d of type t sits at cells[_DIGIT_ROW[d-1], t, _DIGIT_COL[d-1]]
-    cells = np.zeros((2, len(table) // 4 + 1, 2), dtype=table.dtype)
-    cells[_DIGIT_ROW, 1:, _DIGIT_COL] = table.reshape(-1, 4).T
-    out = np.empty((side, 2, side, 2), dtype=table.dtype)
-    for half in (0, 1):
-        np.take(cells[half], grid, axis=0, out=out[:, half])
-    return out.reshape(2 * side, 2 * side)
+    tiles = np.zeros((len(table) // 4 + 1, 2, 2), dtype=table.dtype)
+    tiles[1:, _DIGIT_ROW, _DIGIT_COL] = table.reshape(-1, 4)
+    return tiles
+
+
+def place_tiles(grid: np.ndarray, tiles: np.ndarray) -> np.ndarray:
+    """Replace each cell of a (..., g, g) type grid by its h x h tile.
+
+    tiles has shape (V+1, h, h); the result has shape (..., g*h, g*h) and
+    tiles' dtype. Each tile row moves as whole unsigned words of up to 8
+    bytes: one gather of every cell's tile, then one copy that interleaves
+    the rows of a grid row's tiles.
+    """
+    h = tiles.shape[-1]
+    word = np.dtype(f"u{math.gcd(h * tiles.dtype.itemsize, 8)}")
+    words = np.ascontiguousarray(tiles).view(word)  # (V+1, h, words per row)
+    cells = np.take(words, grid, axis=0)  # (..., g, g, h, words per row)
+    rows = np.ascontiguousarray(cells.swapaxes(-3, -2))  # (..., g, h, g, words)
+    side = grid.shape[-1] * h
+    return rows.reshape(*grid.shape[:-2], side, -1).view(tiles.dtype)
 
 
 def row_keys(rows: np.ndarray) -> np.ndarray:

@@ -36,7 +36,8 @@ from .imaging import (
     PixelImage,
     QuadAddress,
     blocks_at_level,
-    expand_types,
+    child_tiles,
+    place_tiles,
     row_keys,
     split_quadrants,
 )
@@ -183,12 +184,24 @@ def encode(
 
 
 def decode(code: VVarCode) -> PixelImage:
-    """Reconstruct the full image by label propagation."""
+    """Reconstruct the full image by label propagation.
+
+    The deepest tables fold into the leaf tiles, deepest first, so each type
+    of a deep level is rendered once; folding stops before the V tiles would
+    hold more than a quarter of the image's pixels, so each tile is placed
+    at least four times on average. The levels above propagate types, and
+    the tiles are placed once.
+    """
+    tiles = child_tiles(np.asarray(code.leaf_values, np.uint8))
+    mid = list(code.level_labels)
+    # a fold doubles the side h; V tiles of side 2h fit in a quarter image
+    while mid and 4 * code.v * (2 * tiles.shape[-1]) ** 2 <= 4 ** code.depth:
+        tiles = place_tiles(child_tiles(np.asarray(mid.pop(), np.int32)), tiles)
     trivial = [np.arange(1, 4 ** k + 1) for k in range(1, code.n0 + 1)]
     grid = np.ones((1, 1), dtype=np.int32)
-    for table in [*trivial, code.first_labels, *code.level_labels]:
-        grid = expand_types(grid, np.asarray(table, np.int32))
-    return PixelImage(expand_types(grid, np.asarray(code.leaf_values, np.uint8)))
+    for table in [*trivial, code.first_labels, *mid]:
+        grid = place_tiles(grid, child_tiles(np.asarray(table, np.int32)))
+    return PixelImage(place_tiles(grid, tiles))
 
 
 def pixel_value(code: VVarCode, addr: QuadAddress) -> int:

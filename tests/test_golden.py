@@ -1,5 +1,6 @@
-"""Bit-exact digests of seeded encodes: the equality oracle for changes that
-must leave the VVC1 and FBC1 output unchanged."""
+"""Bit-exact digests of seeded encodes and decodes: the equality oracle for
+changes that must leave the VVC1 and FBC1 output and the decoded images
+unchanged."""
 
 import hashlib
 import os
@@ -7,10 +8,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from conftest import adversarial_image
+from conftest import adversarial_image, random_vvar_code
 from vvcodec import fbc, vvar
+from vvcodec.imaging import save_pgm
 
 # SHA-256 of vvar.serialize(vvar.encode(image A, V, **ENCODE_OPTS))
 VV_DIGESTS = {
@@ -43,6 +46,25 @@ FBC_ADVERSARIAL_DIGESTS = {
     ("mixed", 8): "632ceeae109a089cb2cc92e46380384c4d2adf156eaa3d00741fa3cb0605f43a",
     ("mixed", 16): "138961bbf07cea097319744279d4765a5adace538b41ea7aff32baf22de55fb1",
 }
+# SHA-256 of save_pgm(vvar.decode(random_vvar_code(default_rng([V, depth]),
+# V, depth))), keyed by (V, depth): the six benchmark V at depth 9, where the
+# decoder folds every level, and V = 3, 255, 1023, where it folds one fewer,
+# at depths 2, 6 and 12 where valid
+DECODE_DIGESTS = {
+    (1, 9): "4a1cab9ad84b65ac89d950dff49728d032ba86c3b899243feea8162f6f1d92d3",
+    (4, 9): "3eb507977431514217503ef22544ac838bf37c0cf95872a908b8c1c255139599",
+    (16, 9): "8de3e15bd37c2908cb8397d954a96bfee7b575d582df70aa0ada1b5eaf19399c",
+    (64, 9): "59f84a83c51f7c7b3607ad3efe6f6d93eaa066d21cdf75c3f8f77d22fedcf571",
+    (256, 9): "a7f359a7ca51d5e9799fcc4969e949827d49081c53ef28d5b00e8eaea9bad762",
+    (1024, 9): "eac71f0eda47b7147c575424f468e41a40fa464f43cacc0fe807f7d6a853dc4b",
+    (3, 2): "233064d09cebeb1d11ed30ce40aa7f95f2c85c33bc25c67de94779150b302f6e",
+    (3, 6): "b3c7bff54eada50d768a428dbba2f6241d12d9529eefe55de0e91f0aea3d1892",
+    (3, 12): "39b597db1b56b67a1894b603146ae8c225345ec1e0765379a40234bd539c6e92",
+    (255, 6): "ebf984fb9ed04417c0814db6de235d5853258dd8c59028007f9e4d3f3486fa06",
+    (255, 12): "fafc688e044e4aad96b86440e8bd00cbb3b7e9fc5e440cf520a79dd1a8e30360",
+    (1023, 6): "b95639d55bf799d6bed73d1abf6ce343ba6ce252ef87e1195547d54d5a3d662f",
+    (1023, 12): "841a6bdbd44d93ffbd5c138b9b54dc1af6240b945566cf406936492344476be2",
+}
 
 TESTS_DIR = Path(__file__).resolve().parent
 
@@ -55,6 +77,12 @@ def sha256(data: bytes) -> str:
 def test_vvc1_digest(vv_codes, v):
     code, _ = vv_codes[("a", v)]
     assert sha256(vvar.serialize(code)) == VV_DIGESTS[v]
+
+
+@pytest.mark.parametrize("v,depth", sorted(DECODE_DIGESTS))
+def test_decode_digest(v, depth):
+    code = random_vvar_code(np.random.default_rng([v, depth]), v=v, depth=depth)
+    assert sha256(save_pgm(vvar.decode(code))) == DECODE_DIGESTS[(v, depth)]
 
 
 def test_fbc1_digest(fbc_codes, image_a, image_b):

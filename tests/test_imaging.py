@@ -6,9 +6,11 @@ from vvcodec.imaging import (
     FormatError,
     PixelImage,
     blocks_at_level,
+    child_tiles,
     downsample2x,
     extract_block,
     load_pgm,
+    place_tiles,
     save_pgm,
     split_quadrants,
 )
@@ -228,6 +230,28 @@ class TestSplitTile:
     def test_split_side_one(self):
         with pytest.raises(ValueError):
             split_quadrants(np.ones((1, 1)))
+
+
+class TestTiles:
+    def test_child_tiles_inverts_split_quadrants(self):
+        table = np.arange(10, 30, dtype=np.int32)
+        tiles = child_tiles(table)
+        assert tiles.shape == (6, 2, 2) and tiles.dtype == np.int32
+        assert not tiles[0].any()
+        assert np.array_equal(split_quadrants(tiles[1:]).reshape(-1), table)
+
+    @pytest.mark.parametrize("h", [1, 2, 8, 16])
+    @pytest.mark.parametrize("dtype", [np.int32, np.uint8])
+    def test_place_batched_grid_matches_loop(self, dtype, h):
+        rng = np.random.default_rng(h)
+        tiles = rng.integers(0, 256, (6, h, h)).astype(dtype)
+        grid = rng.integers(0, 6, (3, 4, 4)).astype(np.int32)
+        got = place_tiles(grid, tiles)
+        assert got.shape == (3, 4 * h, 4 * h) and got.dtype == dtype
+        want = np.empty_like(got)
+        for b, i, j in np.ndindex(grid.shape):
+            want[b, i * h:(i + 1) * h, j * h:(j + 1) * h] = tiles[grid[b, i, j]]
+        assert np.array_equal(got, want)
 
 
 class TestDownsample:

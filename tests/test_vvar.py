@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,6 +21,20 @@ from vvcodec.imaging import FormatError, PixelImage, blocks_at_level, split_quad
 
 def all_addresses(depth):
     return itertools.product((1, 2, 3, 4), repeat=depth)
+
+
+def assert_decode_matches_walker(rng, v, depth, samples):
+    """decode() against pixel_value() on random full-length addresses."""
+    code = random_vvar_code(rng, v=v, depth=depth)
+    img = vvar.decode(code)
+    assert img.data.dtype == np.uint8 and img.side == 2 ** depth
+    for addr in rng.integers(1, 5, size=(samples, depth)):
+        row = col = 0
+        for d in addr:
+            row = 2 * row + (1, 0, 1, 0)[d - 1]
+            col = 2 * col + (0, 0, 1, 1)[d - 1]
+        addr = tuple(int(d) for d in addr)
+        assert vvar.pixel_value(code, addr) == img.data[row, col]
 
 
 class TestComputeN0:
@@ -187,17 +202,26 @@ class TestPixelValue:
     @pytest.mark.parametrize("v", [4, 64, 1024])
     def test_matches_decode_at_depth_9(self, v):
         # decode's expansion against the independent walker at full depth
-        rng = np.random.default_rng(v)
-        code = random_vvar_code(rng, v=v, depth=9)
-        img = vvar.decode(code)
-        assert img.data.dtype == np.uint8
-        for addr in rng.integers(1, 5, size=(500, 9)):
-            row = col = 0
-            for d in addr:
-                row = 2 * row + (1, 0, 1, 0)[d - 1]
-                col = 2 * col + (0, 0, 1, 1)[d - 1]
-            addr = tuple(int(d) for d in addr)
-            assert vvar.pixel_value(code, addr) == img.data[row, col]
+        assert_decode_matches_walker(np.random.default_rng(v), v, 9, 500)
+
+    @pytest.mark.parametrize("depth", [10, 11, 12])
+    @pytest.mark.parametrize("v", [1, 3, 255, 256, 1023, 1024, 4095])
+    def test_matches_decode_deep(self, v, depth):
+        # 3, 255, 1023 and 4095 fold one level fewer than a power of 4 does
+        assert_decode_matches_walker(np.random.default_rng([v, depth]), v, depth, 200)
+
+
+class TestDecode:
+    @pytest.mark.parametrize("v", [1, 1023])
+    def test_memory_is_bounded(self, v):
+        code = random_vvar_code(np.random.default_rng(v), v=v, depth=11)
+        tracemalloc.start()
+        try:
+            img = vvar.decode(code)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * img.data.nbytes
 
 
 class TestPayloadSize:
