@@ -23,13 +23,9 @@ from .imaging import FormatError, load_pgm, save_pgm
 _MAX_DEMO_LEVEL = 20  # 2**n intervals; keeps the CSV demos bounded
 
 
-class _UsageError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str) -> None:  # type: ignore[override]
-        raise _UsageError(message)
+        raise ValueError(message)
 
 
 def _write_atomic(path: str, data: bytes) -> None:
@@ -54,7 +50,7 @@ def _load_image(path: str):
 
 def cmd_vv_encode(args: argparse.Namespace) -> int:
     if args.v < 1:
-        raise _UsageError("--v must be >= 1")
+        raise ValueError("--v must be >= 1")
     img = _load_image(args.input)
     code = vvar.encode(img, args.v, seed=args.seed, restarts=args.restarts)
     blob = vvar.serialize(code)
@@ -74,7 +70,7 @@ def cmd_fbc(args: argparse.Namespace) -> int:
     data = Path(args.input).read_bytes()
     if data[:2] == b"P5":
         if args.small is None:
-            raise _UsageError("--small is required when encoding")
+            raise ValueError("--small is required when encoding")
         img = load_pgm(data)
         params = fbc.FbcParams(args.small, args.iters)
         code = fbc.fbc_encode(img, params)
@@ -112,7 +108,7 @@ def cmd_table(args: argparse.Namespace) -> int:
 
 def _demo_level(n: int, limit: int) -> int:
     if not 0 <= n <= limit:
-        raise _UsageError(f"--n must lie in 0..{limit}")
+        raise ValueError(f"--n must lie in 0..{limit}")
     return n
 
 
@@ -136,7 +132,7 @@ def cmd_fractal(args: argparse.Namespace) -> int:
         img = vvar.decode(vvar.code_from_matrix(grid))
     else:
         if args.v is None or args.v < 1:
-            raise _UsageError("--v must be >= 1 (or use --matrix)")
+            raise ValueError("--v must be >= 1 (or use --matrix)")
         vvar.compute_n0(args.v, args.depth)  # before the skeleton is allocated
         skeleton = fractalgen.random_skeleton(args.v, 4, args.depth, args.seed)
         values = np.random.default_rng([args.seed & ((1 << 64) - 1), 1]).integers(
@@ -215,9 +211,6 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except _UsageError as exc:
-        print(f"vvcodec: {exc}", file=sys.stderr)
-        return 1
     except FormatError as exc:
         print(f"vvcodec: corrupt input: {exc}", file=sys.stderr)
         return 3

@@ -35,7 +35,7 @@ later ones only those whose members changed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -70,11 +70,7 @@ class ClusterResult:
     labels: np.ndarray
     centroids: np.ndarray
     sse: float
-    sse_history: list[float] = field(default_factory=list)
-
-    @property
-    def k(self) -> int:
-        return self.centroids.shape[0]
+    sse_history: list[float]
 
 
 # float64 scratch per assignment chunk: bounds the n x k score block
@@ -324,7 +320,7 @@ def _lloyd(
             touched[recent[0][changed]] = True
             members = np.flatnonzero(touched[labels])
         sums[touched] = _label_sums(points[members], labels[members], k)[touched]
-        centroids = sums / np.maximum(counts, 1)[:, None]
+        centroids = sums / counts[:, None]  # the repair left no count at 0
         sse = float(((points - centroids[labels]) ** 2).sum())
         history.append(sse)
         # centroids are a function of the labels, so labels seen one or two
@@ -383,7 +379,7 @@ def canonicalize_labels(result: ClusterResult) -> ClusterResult:
     Idempotent, SSE unchanged.
     """
     labels = np.asarray(result.labels)
-    k = result.k
+    k = len(result.centroids)
     _, first_pos = np.unique(labels, return_index=True)
     if len(first_pos) != k:
         raise ValueError(f"{k - len(first_pos)} of {k} clusters own no point")

@@ -55,7 +55,7 @@ class PixelImage:
         if arr.dtype != np.uint8:
             if not np.issubdtype(arr.dtype, np.integer):
                 raise ValueError("pixel values must be integers")
-            if arr.size and (arr.min() < 0 or arr.max() > 255):
+            if arr.min() < 0 or arr.max() > 255:
                 raise ValueError("pixel values must lie in 0..255")
             arr = arr.astype(np.uint8)
         object.__setattr__(self, "data", arr)

@@ -224,9 +224,7 @@ def pixel_value(code: VVarCode, addr: QuadAddress) -> int:
             label = int(code.first_labels[slot])
         elif k < code.depth:
             label = int(code.level_labels[k - (n0 + 2)][slot])
-        else:
-            return int(code.leaf_values[slot])
-    raise AssertionError("unreachable")
+    return int(code.leaf_values[slot])  # the last digit's slot
 
 
 def _layout(v: int, depth: int) -> tuple[int, int, int]:

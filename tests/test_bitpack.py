@@ -91,6 +91,10 @@ class TestErrors:
         with pytest.raises(ValueError):
             bitpack.pack(np.array([[value]]), [5])
 
+    def test_field_count(self):
+        with pytest.raises(ValueError, match=r"^fields must have shape \(n, 2\)$"):
+            bitpack.pack(np.zeros((3, 1), np.int64), [4, 4])
+
     def test_width_limit(self):
         with pytest.raises(ValueError):
             bitpack.pack(np.zeros((1, 1), np.int64), [33])

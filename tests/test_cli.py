@@ -32,9 +32,31 @@ def run_cli(capsys, *argv):
     return status, out.out, out.err
 
 
+# command lines that are refused with exit 1, and their exact stderr
+USAGE_REFUSALS = [
+    ((), "the following arguments are required: command"),
+    (("vv-encode",), "the following arguments are required: input, output, --v"),
+    (("vv-encode", "a", "b"), "the following arguments are required: --v"),
+    (("vv-encode", "a", "b", "--v", "x"), "argument --v: invalid int value: 'x'"),
+    (("nope",), "argument command: invalid choice: 'nope' (choose from "
+     "'vv-encode', 'vv-decode', 'fbc', 'psnr', 'fractal', 'table')"),
+    (("fractal",), "the following arguments are required: demo"),
+    (("fractal", "vsquare", "o.pgm"), "--v must be >= 1 (or use --matrix)"),
+    (("fractal", "cantor", "--n", "99"), "--n must lie in 0..20"),
+    (("fbc", "a", "b", "--small", "zz"), "argument --small: invalid int value: 'zz'"),
+    (("vv-encode", "a", "b", "--v", "4", "--bogus"),
+     "unrecognized arguments: --bogus"),
+    (("table",), "the following arguments are required: input"),
+]
+
+
 class TestParser:
     def test_built_once(self):
         assert cli.build_parser() is cli.build_parser()
+
+    @pytest.mark.parametrize("argv,message", USAGE_REFUSALS)
+    def test_usage_refusal(self, capsys, argv, message):
+        assert run_cli(capsys, *argv) == (1, "", f"vvcodec: {message}\n")
 
     def test_repeated_calls_keep_each_subcommand_defaults(
         self, capsys, monkeypatch, small_image_path, image_a_path, tmp_path

@@ -198,19 +198,30 @@ class TestKmeans:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             kmeans([[0.0, 1.0], [2.0]], ClusterOptions(k=1))
+        for points in (np.zeros(3), np.zeros((0, 2))):
+            with pytest.raises(ValueError, match="^points must be a nonempty 2-D"):
+                kmeans(points, ClusterOptions(k=1))
+        with pytest.raises(
+            ValueError, match=r"^initial centroids must have shape \(2, 3\)$"
+        ):
+            kmeans(np.zeros((4, 3)), ClusterOptions(k=2), np.zeros((2, 2)))
 
     def test_bad_options(self):
         with pytest.raises(ValueError):
             ClusterOptions(k=0)
         with pytest.raises(ValueError):
             ClusterOptions(k=1, restarts=0)
+        with pytest.raises(ValueError, match="^max_iterations must be >= 1$"):
+            ClusterOptions(k=1, max_iterations=0)
 
 
 class TestCanonicalize:
     def _result(self, labels, k):
         labels = np.asarray(labels)
         centroids = np.arange(k, dtype=float).reshape(k, 1) * 10
-        return ClusterResult(labels=labels, centroids=centroids, sse=0.5)
+        return ClusterResult(
+            labels=labels, centroids=centroids, sse=0.5, sse_history=[]
+        )
 
     def test_swap(self):
         res = canonicalize_labels(self._result([2, 2, 1], 2))

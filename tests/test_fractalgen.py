@@ -63,6 +63,25 @@ class TestAttractorIntervals:
         with pytest.raises(ValueError):
             fg.attractor_intervals([fg.Affine1D(0.5, 0.8)], 1)
 
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_overlapping_images_merge(self, n):
+        ifs = [fg.Affine1D(0.6, 0.0), fg.Affine1D(0.6, 0.4)]
+        assert fg.attractor_intervals(ifs, n) == [(0.0, 1.0)]
+
+    def test_touching_images_merge(self):
+        ifs = [fg.Affine1D(0.5, 0.0), fg.Affine1D(0.5, 0.5)]
+        assert fg.attractor_intervals(ifs, 3) == [(0.0, 1.0)]
+
+    def test_merge_tolerance(self):
+        def halves(gap):
+            return [fg.Affine1D(0.5, 0.0), fg.Affine1D(0.5 - gap, 0.5 + gap)]
+
+        assert fg.MERGE_TOL > 1e-13
+        assert fg.attractor_intervals(halves(1e-13), 1) == [(0.0, 1.0)]
+        assert fg.attractor_intervals(halves(1e-9), 1) == [
+            (0.0, 0.5), (0.5 + 1e-9, 1.0)
+        ]
+
     def test_nesting(self):
         prev = fg.attractor_intervals(fg.cantor_ifs(), 3)
         nxt = fg.attractor_intervals(fg.cantor_ifs(), 4)

@@ -22,6 +22,16 @@ VV_DIGESTS = {
     256: "5f0d15969d302d05a9e1ae4bb8a133f84c4ddf7b407ceae0f885483e5e0d59b5",
     1024: "dcd053d989e5ab76ba5c26d400f2b90fcc4ceaa7ee688851215aaaee2ca06c9d",
 }
+# SHA-256 of vvar.serialize(vvar.encode(image A, V)) at the library defaults,
+# which are the options `vv-encode`, `table` and the benchmark run
+VV_DEFAULT_DIGESTS = {
+    1: "6f27e16d32f80e3788f64061bb75063df4b272c47cb10899851f32394bd28a5c",
+    4: "3c278cf79def6bf19867e156e95ba54180e525c69e394fa34f0afdd32136cf30",
+    16: "b5a3b94f90782efa5c1a01bb8c650e878c78efc7d4e2a977497ae4dd40f77854",
+    64: "ede2cbd982ff26448f972acfed81065f15bf6056dc3315e228cff6dc29f20310",
+    256: "180aa629461a17198d0d7bf3ba8c2d01b7ca63e13cafbe56c1df425efb58344e",
+    1024: "fae035389490a1f65f20e2f555e150795a89d222c717125dd28fed9abc3eed95",
+}
 # SHA-256 of fbc.serialize(fbc.fbc_encode(image, FbcParams(s))), keyed by
 # (image name, small size s)
 FBC_DIGESTS = {
@@ -77,6 +87,12 @@ def sha256(data: bytes) -> str:
 def test_vvc1_digest(vv_codes, v):
     code, _ = vv_codes[("a", v)]
     assert sha256(vvar.serialize(code)) == VV_DIGESTS[v]
+
+
+@pytest.mark.parametrize("v", sorted(VV_DEFAULT_DIGESTS))
+def test_vvc1_default_options_digest(image_a, v):
+    code = vvar.encode(image_a, v)
+    assert sha256(vvar.serialize(code)) == VV_DEFAULT_DIGESTS[v]
 
 
 @pytest.mark.parametrize("v,depth", sorted(DECODE_DIGESTS))

@@ -37,6 +37,10 @@ class TestPixelImage:
         with pytest.raises(ValueError):
             PixelImage(np.zeros((3, 3), dtype=np.uint8))
 
+    def test_rejects_float_pixels(self):
+        with pytest.raises(ValueError, match="^pixel values must be integers$"):
+            PixelImage(np.zeros((2, 2)))
+
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
             PixelImage(np.full((2, 2), 300))

@@ -70,6 +70,10 @@ class TestEncodeDecode:
         code = vvar.encode(demo_image, 4, restarts=1, init="distinct")
         assert metrics.mse(demo_image, vvar.decode(code)) == 0.0
 
+    def test_unknown_init(self):
+        with pytest.raises(ValueError, match="^unknown init mode 'bogus'$"):
+            vvar.encode(constant_image(0, depth=3), 2, init="bogus")
+
     def test_encode_deterministic(self):
         rng = np.random.default_rng(2)
         img = PixelImage(rng.integers(0, 256, (32, 32)))
