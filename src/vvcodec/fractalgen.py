@@ -11,6 +11,7 @@ Interval sets are plain sorted lists of disjoint (lo, hi) tuples inside
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -136,12 +137,17 @@ class LabelMatrix:
         return self.values.shape[0] - 1
 
 
-def _merge_intervals(intervals: list[Interval]) -> list[Interval]:
+def _images(
+    system: tuple[Affine1D, ...] | list[Affine1D], children: list[list[Interval]]
+) -> list[Interval]:
+    """Merged union of each child's intervals under its map: children[j]
+    goes through system[j]."""
     merged: list[Interval] = []
-    for lo, hi in sorted(intervals):
+    for lo, hi in sorted(
+        f.map_interval(iv) for f, ivs in zip(system, children) for iv in ivs
+    ):
         if merged and lo <= merged[-1][1] + MERGE_TOL:
-            prev_lo, prev_hi = merged[-1]
-            merged[-1] = (prev_lo, max(prev_hi, hi))
+            merged[-1] = (merged[-1][0], max(merged[-1][1], hi))
         else:
             merged.append((lo, hi))
     return merged
@@ -165,9 +171,7 @@ def attractor_intervals(ifs: list[Affine1D], n: int) -> list[Interval]:
     _check_keeps_unit(ifs)
     current: list[Interval] = [(0.0, 1.0)]
     for _ in range(n):
-        current = _merge_intervals(
-            [f.map_interval(iv) for f in ifs for iv in current]
-        )
+        current = _images(ifs, [current] * len(ifs))
     return current
 
 
@@ -187,19 +191,14 @@ def code_tree_intervals(
         raise ValueError("tree arity does not match the family")
     for system in family.systems:
         _check_keeps_unit(system)
-
-    def node_set(level: int, pos: int) -> list[Interval]:
-        if level == n:
-            return [(0.0, 1.0)]
-        label = int(tree.levels[level][pos])
-        system = family.systems[label - 1]
-        images: list[Interval] = []
-        for j, f in enumerate(system):
-            for iv in node_set(level + 1, tree.m * pos + j):
-                images.append(f.map_interval(iv))
-        return _merge_intervals(images)
-
-    return node_set(0, 0)
+    # the sets of the level-k nodes, from k = n up to the root
+    sets: list[list[Interval]] = [[(0.0, 1.0)]] * tree.m ** n
+    for level in reversed(tree.levels[:n]):
+        sets = [
+            _images(family.systems[label - 1], sets[tree.m * p:tree.m * (p + 1)])
+            for p, label in enumerate(level)
+        ]
+    return sets[0]
 
 
 def expand_skeleton(s: SkeletonMatrix, q: LabelMatrix) -> CodeTreeLevels:
@@ -253,27 +252,19 @@ def skeleton_to_code(
         raise ValueError(f"skeleton depth {s.depth} < requested depth {depth}")
     n0 = vvar.compute_n0(s.v, depth)
 
-    # types of level-(n0+1) nodes in address-lexicographic order
-    first = np.ones(1, dtype=np.int64)
-    for k in range(n0 + 1):
-        first = _child_types(s, first, k)
-    # deeper levels only need the set of types that occur
-    reached = first
-    for k in range(n0 + 1, depth):
-        reached = _child_types(s, np.unique(reached), k)
-
-    def table(k: int) -> np.ndarray:
-        column = s.entries[:, k].copy()
-        column[column == 0] = 1  # unreachable slots, never consulted
-        return column.astype(np.int32)
-
-    leaf_column = table(depth - 1)
+    # first labels: level-(n0+1) types in address order; deeper, the set that occurs
+    types = np.ones(1, dtype=np.int64)
+    for k in range(depth):
+        types = _child_types(s, np.unique(types) if k > n0 else types, k)
+        if k == n0:
+            first = types
+    tables = np.maximum(s.entries, 1).astype(np.int32)  # 0 slots: never consulted
     return vvar.VVarCode(
         depth=depth,
         v=s.v,
         first_labels=first.astype(np.int32),
-        level_labels=[table(k) for k in range(n0 + 1, depth - 1)],
-        leaf_values=values[leaf_column - 1].astype(np.uint8),
+        level_labels=[tables[:, k] for k in range(n0 + 1, depth - 1)],
+        leaf_values=values[tables[:, depth - 1] - 1].astype(np.uint8),
     )
 
 
@@ -290,10 +281,10 @@ def read_integer_grid(text: str) -> np.ndarray:
     width = len(rows[0])
     if any(len(r) != width for r in rows):
         raise ValueError("ragged matrix rows")
+    if not all(re.fullmatch(r"-?[0-9]+", x) for r in rows for x in r):
+        raise ValueError("matrix entries must be integers")
     try:
         return np.array([[int(x) for x in r] for r in rows], dtype=np.int64)
-    except ValueError:
-        raise ValueError("matrix entries must be integers") from None
     except OverflowError:
         raise ValueError("matrix entries must fit in a signed 64-bit integer") from None
 

@@ -350,27 +350,49 @@ class TestFractalCommand:
         assert hashlib.sha256(out_pgm.read_bytes()).hexdigest() == digest
 
     @pytest.mark.parametrize(
-        "text",
+        "text,message",
         [
             *(
-                pytest.param(f"1 1 1\n1 1 1\n1 1 1\n{entry} 1 7\n", id=entry)
+                pytest.param(
+                    f"1 1 1\n1 1 1\n1 1 1\n{entry} 1 7\n",
+                    "matrix entries must fit in a signed 64-bit integer",
+                    id=entry,
+                )
                 for entry in
                 ["99999999999999999999", str(2 ** 63), str(-(2 ** 63) - 1)]
             ),
-            pytest.param("1\n2\n3\n4\n", id="one-column"),
-            pytest.param("1 1 7\n1 1 8\n1 1 7\n1 1 7\n", id="v1-unequal-leaves"),
+            pytest.param(
+                "1\n2\n3\n4\n", "depth 1 out of range 2..12", id="one-column"
+            ),
+            pytest.param(
+                "1 1 7\n1 1 8\n1 1 7\n1 1 7\n",
+                "V=1 codes must have a single leaf value", id="v1-unequal-leaves",
+            ),
+            *(
+                pytest.param(
+                    f"1 1 7\n1 {entry} 7\n1 1 7\n1 1 7\n",
+                    "matrix entries must be integers", id=name,
+                )
+                for name, entry in [
+                    ("letter", "x"), ("decimal-point", "1.5"), ("underscore", "1_0"),
+                    ("plus-sign", "+1"), ("arabic-indic-digit", "\u0661"),
+                ]
+            ),
+            pytest.param(
+                "1 1 7\n1 -1 7\n1 1 7\n1 1 7\n", "label -1 out of range 1..1",
+                id="label-minus-one",
+            ),
         ],
     )
-    def test_vsquare_matrix_entry_beyond_int64(self, capsys, tmp_path, text):
+    def test_vsquare_matrix_entry_beyond_int64(self, capsys, tmp_path, text, message):
         # every matrix the codec cannot hold is a usage error, not corrupt input
         matrix_file = tmp_path / "big.txt"
-        matrix_file.write_text(text)
+        matrix_file.write_text(text, encoding="utf-8")
         out_pgm = tmp_path / "sq.pgm"
         status, out, err = run_cli(
             capsys, "fractal", "vsquare", out_pgm, "--matrix", matrix_file
         )
-        assert status == 1 and out == ""
-        assert err.startswith("vvcodec: ") and "Traceback" not in err
+        assert (status, out, err) == (1, "", f"vvcodec: {message}\n")
         assert list(tmp_path.iterdir()) == [matrix_file]
 
     def test_vsquare_needs_source(self, capsys, tmp_path):

@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -23,6 +24,102 @@ def compose_all(ifs, n):
         else:
             merged.append((lo, hi))
     return merged
+
+
+def demo_tree() -> fg.CodeTreeLevels:
+    return fg.expand_skeleton(fg.gap_demo_skeleton(), fg.gap_demo_labels())
+
+
+# refusals that no other test reaches, each with its exact message
+REFUSALS = [
+    pytest.param(
+        lambda: fg.IFSFamily(systems=()), "family needs at least one system",
+        id="empty-family",
+    ),
+    pytest.param(
+        lambda: fg.IFSFamily(systems=((fg.Affine1D(0.5, 0.0),),)),
+        "systems need at least two maps", id="one-map-system",
+    ),
+    pytest.param(
+        lambda: fg.IFSFamily(
+            systems=(tuple(fg.cantor_ifs()), (*fg.cantor_ifs(), fg.Affine1D(0.5, 0)))
+        ),
+        "all systems must share the same number of maps", id="unequal-systems",
+    ),
+    pytest.param(
+        lambda: fg.CodeTreeLevels(m=2, levels=[np.ones(1), np.ones(3)]),
+        "level 1 must have 2 entries", id="tree-level-length",
+    ),
+    pytest.param(
+        lambda: fg.SkeletonMatrix(v=2, m=2, entries=np.ones((3, 2))),
+        "entries must have 4 rows", id="skeleton-rows",
+    ),
+    pytest.param(
+        lambda: fg.SkeletonMatrix(v=2, m=2, entries=np.ones(4)),
+        "entries must have 4 rows", id="skeleton-1d",
+    ),
+    pytest.param(
+        lambda: fg.SkeletonMatrix(v=2, m=2, entries=np.full((4, 2), 3)),
+        "types must lie in 0..V (0 = unused)", id="skeleton-type-above-v",
+    ),
+    pytest.param(
+        lambda: fg.SkeletonMatrix(v=2, m=2, entries=np.full((4, 2), -1)),
+        "types must lie in 0..V (0 = unused)", id="skeleton-type-negative",
+    ),
+    pytest.param(
+        lambda: fg.LabelMatrix(values=np.ones(3)), "label matrix must be 2-D",
+        id="labels-1d",
+    ),
+    pytest.param(
+        lambda: fg.LabelMatrix(values=-np.ones((2, 2))),
+        "labels must be >= 0 (0 = unused)", id="labels-negative",
+    ),
+    pytest.param(
+        lambda: fg.attractor_intervals(fg.cantor_ifs(), -1), "n must be >= 0",
+        id="attractor-negative-n",
+    ),
+    pytest.param(
+        lambda: fg.code_tree_intervals(fg.gap_family(), demo_tree(), -1),
+        "n must be >= 0", id="code-tree-negative-n",
+    ),
+    pytest.param(
+        lambda: fg.code_tree_intervals(
+            fg.IFSFamily(systems=((fg.Affine1D(0.3, 0),) * 3,)), demo_tree(), 1
+        ),
+        "tree arity does not match the family", id="code-tree-arity",
+    ),
+    pytest.param(
+        lambda: fg.expand_skeleton(
+            fg.gap_demo_skeleton(), fg.LabelMatrix(values=np.ones((4, 1)))
+        ),
+        "label matrix has fewer columns than types", id="labels-too-narrow",
+    ),
+    pytest.param(
+        lambda: fg.expand_skeleton(
+            fg.gap_demo_skeleton(),
+            fg.LabelMatrix(values=np.array([[1, 0], [2, 1], [1, 0], [2, 3]])),
+        ),
+        "unused label read at level 2", id="unused-label-read",
+    ),
+    pytest.param(
+        lambda: fg.random_skeleton(0, 4, 3, seed=0),
+        "v, m, depth must all be >= 1", id="random-skeleton-v0",
+    ),
+    pytest.param(
+        lambda: fg.skeleton_to_code(fg.random_skeleton(2, 4, 4, 0), [1, 2, 3], 4),
+        "need one gray value per type, got (3,)", id="gray-value-count",
+    ),
+    pytest.param(
+        lambda: fg.skeleton_to_code(fg.random_skeleton(2, 2, 4, 0), [1, 2], 4),
+        "square coding needs a 4-map skeleton", id="two-map-square",
+    ),
+]
+
+
+@pytest.mark.parametrize("make,message", REFUSALS)
+def test_refusal(make, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        make()
 
 
 class TestAffine:
@@ -325,6 +422,8 @@ class TestTextFormats:
     def test_read_integer_grid(self):
         grid = fg.read_integer_grid("1 2 3\n4 0 6\n")
         assert grid.tolist() == [[1, 2, 3], [4, 0, 6]]
+        # a negative entry parses, so that the code names it out of range
+        assert fg.read_integer_grid("-1 007\n").tolist() == [[-1, 7]]
 
     def test_read_integer_grid_errors(self):
         with pytest.raises(ValueError):
@@ -333,5 +432,9 @@ class TestTextFormats:
             fg.read_integer_grid("1 2\n3\n")
         with pytest.raises(ValueError):
             fg.read_integer_grid("1 x\n")
+        # only an optional '-' and ASCII digits; int() takes the first three
+        for entry in ["1_0", "+3", "\u0663", "1.5", "--1", "-", "0x1"]:
+            with pytest.raises(ValueError, match="^matrix entries must be integers$"):
+                fg.read_integer_grid(f"1 {entry}\n")
         with pytest.raises(ValueError, match="64-bit"):
             fg.read_integer_grid(f"1 {2 ** 63}\n")

@@ -1,6 +1,6 @@
 """Bit-exact digests of seeded encodes and decodes: the equality oracle for
-changes that must leave the VVC1 and FBC1 output and the decoded images
-unchanged."""
+changes that must leave the VVC1 and FBC1 output, the decoded images and
+the fractal demos' output unchanged."""
 
 import hashlib
 import os
@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 
 from conftest import adversarial_image, random_vvar_code
-from vvcodec import fbc, vvar
+from vvcodec import cli, fbc, vvar
+from vvcodec import fractalgen as fg
 from vvcodec.imaging import save_pgm
 
 # SHA-256 of vvar.serialize(vvar.encode(image A, V, **ENCODE_OPTS))
@@ -76,6 +77,31 @@ DECODE_DIGESTS = {
     (1023, 12): "841a6bdbd44d93ffbd5c138b9b54dc1af6240b945566cf406936492344476be2",
 }
 
+# SHA-256 of save_pgm(fbc.fbc_decode(code)) for the FBC_DIGESTS code of
+# image B at small size s, decoded at the default 10 iterations from 128
+FBC_DECODE_DIGESTS = {
+    4: "fe079a2c892dd135fd75a8846a429455b7fb933244401e04c5626392e5dc4831",
+    8: "bb49f26b95c03035e7b2d49639e5fdc6fa2bbc8c456b25be783f9dc398b8f5da",
+    16: "88f103513914ee681168ccfa51e77b42b50e349db485102c0380e558b958c962",
+}
+# SHA-256 of the stdout of `fractal DEMO --n N`, keyed by (DEMO, N); the
+# code-tree demo stores 4 levels
+FRACTAL_DIGESTS = {
+    ("cantor", 0): "8d66c089414bb76bc2ee5c11465c93257821752b4e08be4f1d70737b9fa10f0c",
+    ("cantor", 1): "61d2e0d265d73ab1353ed0c1f81af98a359dedf96556a7ffbef21439efcc7dbd",
+    ("cantor", 5): "3149a4177b74610833507bfede05bcd3f29b773212a4cd40904dfdaf7756883b",
+    ("cantor", 12): "fdcd9c75608e38b3ab5e33fec2031902ecae82628b92b336c3fb4c28a2e6ab5f",
+    ("codetree", 0): "8d66c089414bb76bc2ee5c11465c93257821752b4e08be4f1d70737b9fa10f0c",
+    ("codetree", 1): "bf65e320467e93a019deba9da6ec87741158efc5bd3e129bb9068d823f3932a5",
+    ("codetree", 2): "ccab737c51b8e6970fbef8098de57a3b7164d433c6c317b035648e195dbbd0c6",
+    ("codetree", 3): "6e2c38188e5758542b6e2d7cd27ea233835d8a99ddde5acf12497348309b1ed7",
+    ("codetree", 4): "e776b6028dc9bc6c5f6dcdd48fb77179263781a75eb876c32633d51d7960c003",
+}
+# SHA-256 over 40 seeded skeletons passed to skeleton_to_code (see
+# test_skeleton_to_code_digest): each case adds its VVC1 stream and decoded
+# PGM, or the message of the ValueError it raises
+SKELETON_DIGEST = "8730c6e7efb7cf2fe996235a9f9bea8065b6c2a1a83a371c9ad670326b9fcf4f"
+
 TESTS_DIR = Path(__file__).resolve().parent
 
 
@@ -101,17 +127,26 @@ def test_decode_digest(v, depth):
     assert sha256(save_pgm(vvar.decode(code))) == DECODE_DIGESTS[(v, depth)]
 
 
-def test_fbc1_digest(fbc_codes, image_a, image_b):
-    images = {"a": image_a, "b": image_b}
-    got = {}
-    for key in FBC_DIGESTS:
-        name, s = key
-        if key in fbc_codes:
-            code, _ = fbc_codes[key]
-        else:  # s=4 is not in the fixture: criterion 8 decodes all its entries
-            code = fbc.fbc_encode(images[name], fbc.FbcParams(s))
-        got[key] = sha256(fbc.serialize(code))
+@pytest.fixture(scope="module")
+def fbc_golden_codes(fbc_codes, image_a, image_b):
+    """Dict (image name, small size) -> code for every FBC_DIGESTS key. s=4
+    is encoded here, not in the session fixture: criterion 8 decodes all
+    of that fixture's entries."""
+    codes = {key: code for key, (code, _) in fbc_codes.items()}
+    for name, img in (("a", image_a), ("b", image_b)):
+        codes[(name, 4)] = fbc.fbc_encode(img, fbc.FbcParams(4))
+    return codes
+
+
+def test_fbc1_digest(fbc_golden_codes):
+    got = {key: sha256(fbc.serialize(fbc_golden_codes[key])) for key in FBC_DIGESTS}
     assert got == FBC_DIGESTS
+
+
+@pytest.mark.parametrize("s", sorted(FBC_DECODE_DIGESTS))
+def test_fbc1_decode_digest(fbc_golden_codes, s):
+    image = fbc.fbc_decode(fbc_golden_codes[("b", s)])
+    assert sha256(save_pgm(image)) == FBC_DECODE_DIGESTS[s]
 
 
 def test_fbc1_adversarial_digest():
@@ -120,6 +155,37 @@ def test_fbc1_adversarial_digest():
         code = fbc.fbc_encode(adversarial_image(name, 256), fbc.FbcParams(s))
         got[(name, s)] = sha256(fbc.serialize(code))
     assert got == FBC_ADVERSARIAL_DIGESTS
+
+
+@pytest.mark.parametrize("demo,n", sorted(FRACTAL_DIGESTS))
+def test_fractal_intervals_digest(capsys, demo, n):
+    assert cli.main(["fractal", demo, "--n", str(n)]) == 0
+    assert sha256(capsys.readouterr().out.encode()) == FRACTAL_DIGESTS[(demo, n)]
+
+
+def test_skeleton_to_code_digest():
+    # V 1..70 at depths 2..7, up to V = 4**(depth-1), which the codec
+    # refuses; half the skeletons leave types unused and zero three slots,
+    # reached or not; some carry a column beyond the depth
+    rng = np.random.default_rng(0)
+    digest = hashlib.sha256()
+    for _ in range(40):
+        depth = int(rng.integers(2, 8))
+        v = int(rng.integers(1, min(70, 4 ** (depth - 1)) + 1))
+        cols = depth + int(rng.integers(0, 2))
+        entries = rng.integers(1, v + 1, (4 * v, cols))
+        if rng.integers(2):
+            entries = np.minimum(entries, int(rng.integers(1, v + 1)))
+            entries[rng.integers(4 * v, size=3), rng.integers(cols, size=3)] = 0
+        values = rng.integers(0, 256, v)
+        skeleton = fg.SkeletonMatrix(v=v, m=4, entries=entries)
+        try:
+            code = fg.skeleton_to_code(skeleton, values, depth)
+        except ValueError as exc:
+            digest.update(str(exc).encode())
+        else:
+            digest.update(vvar.serialize(code) + save_pgm(vvar.decode(code)))
+    assert digest.hexdigest() == SKELETON_DIGEST
 
 
 def test_digest_independent_of_blas_threads():

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -256,6 +258,40 @@ class TestTiles:
         for b, i, j in np.ndindex(grid.shape):
             want[b, i * h:(i + 1) * h, j * h:(j + 1) * h] = tiles[grid[b, i, j]]
         assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize(
+    "make,message",
+    [
+        pytest.param(
+            lambda: extract_block(constant_image(0, depth=2), (1, 5)),
+            "quadrant digit 5 not in 1..4", id="extract-digit",
+        ),
+        pytest.param(
+            lambda: split_quadrants(np.ones((2, 4))), "block must be square",
+            id="split-non-square",
+        ),
+        pytest.param(
+            lambda: split_quadrants(np.ones(4)), "block must be square",
+            id="split-1d",
+        ),
+        pytest.param(
+            lambda: downsample2x(np.ones((2, 4))), "block must be square",
+            id="downsample-non-square",
+        ),
+        pytest.param(
+            lambda: blocks_at_level(constant_image(0, depth=2), 3),
+            "level 3 out of range 0..2", id="level-above-depth",
+        ),
+        pytest.param(
+            lambda: blocks_at_level(constant_image(0, depth=2), -1),
+            "level -1 out of range 0..2", id="level-negative",
+        ),
+    ],
+)
+def test_refusal(make, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        make()
 
 
 class TestDownsample:

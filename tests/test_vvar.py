@@ -189,6 +189,13 @@ class TestPixelValue:
         with pytest.raises(ValueError):
             vvar.pixel_value(demo_code, (1, 2, 3))
 
+    @pytest.mark.parametrize(
+        "addr,digit", [((0,) + (1,) * 8, 0), ((1,) * 8 + (5,), 5)]
+    )
+    def test_bad_digit(self, demo_code, addr, digit):
+        with pytest.raises(ValueError, match=f"^quadrant digit {digit} not in 1..4$"):
+            vvar.pixel_value(demo_code, addr)
+
     def test_matches_decode_exhaustively_small_depth(self):
         rng = np.random.default_rng(6)
         for _ in range(5):
