@@ -30,7 +30,7 @@ class _Parser(argparse.ArgumentParser):
 
 def _write_atomic(path: str, data: bytes) -> None:
     target = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=target.parent or Path("."), suffix=".tmp")
+    fd, tmp = tempfile.mkstemp(dir=target.parent, suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as handle:
             handle.write(data)
@@ -128,7 +128,7 @@ def cmd_fractal(args: argparse.Namespace) -> int:
         return 0
     # vsquare
     if args.matrix is not None:
-        grid = fractalgen.read_integer_grid(Path(args.matrix).read_text())
+        grid = fractalgen.read_integer_grid(Path(args.matrix).read_bytes().decode())
         img = vvar.decode(vvar.code_from_matrix(grid))
     else:
         if args.v is None or args.v < 1:

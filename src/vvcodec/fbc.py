@@ -34,8 +34,6 @@ from .imaging import MAX_DEPTH, FormatError, PixelImage, downsample2x, row_keys
 
 ALPHA_BITS = 4
 BETA_BITS = 9
-# q * _ALPHA_STEP - 1 equals alpha_value(q) bit for bit on the 16 levels
-_ALPHA_STEP = 1.0 / 7.5
 # float64 cells per search array (1 MiB). A tile has this many cells
 # divided by max(n_large, n) rows, so neither its search arrays nor the
 # pixels gathered for one of its candidates exceed it; those gathered for
@@ -167,7 +165,7 @@ def _collage_errors(cross, row_consts, col_consts, n):
     aq += 1.0
     aq *= 7.5
     np.rint(aq, out=aq)
-    aq *= _ALPHA_STEP
+    aq /= 7.5
     aq -= 1.0
     # beta = sum_s / n - aq * (sum_l / n), rounded and clamped
     np.multiply(aq, mean_l, out=b_int)
@@ -194,14 +192,14 @@ def _collage_errors(cross, row_consts, col_consts, n):
     return aq, b_int, err
 
 
-def _unit_rows(blocks: np.ndarray, sums: np.ndarray, sss: np.ndarray) -> np.ndarray:
-    """Each row centered and scaled to unit norm, as float32 (all zero for a
-    flat row), from its exact sum and centered sum of squares `sss`. Pixels
-    and 2x2 means are multiples of 1/4 and n is a power of two, so centering
-    is exact and each value within 2 float64 roundings of exact before the
-    cast."""
-    centered = blocks - (sums / blocks.shape[1])[:, None]
-    centered /= np.where(sss > 0.0, np.sqrt(sss), np.inf)[:, None]
+def _unit_rows(blocks: np.ndarray, means: np.ndarray, sd: np.ndarray) -> np.ndarray:
+    """Each row minus its mean, divided by its norm `sd` (the square root of
+    its centered sum of squares), as float32 (all zero for a flat row).
+    Pixels and 2x2 means are multiples of 1/4 and n is a power of two, so
+    centering is exact and each value within 2 float64 roundings of exact
+    before the cast."""
+    centered = blocks - means[:, None]
+    centered /= np.where(sd > 0.0, sd, np.inf)[:, None]
     return centered.astype(np.float32)
 
 
@@ -217,25 +215,6 @@ def _rho2_slack(n: int) -> float:
     g = (n + 5) * 2.0 ** -24
     eps = g / (1.0 - g)  # n <= 128^2, so g <= 16389 * 2^-24 < 1
     return eps * (2.0 + eps) + 2.0 ** -22
-
-
-def _distinct_by_spread(pixels: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct rows of uint8 `pixels` in order of spread, and each row's
-    place in that list.
-
-    Identical blocks have identical error rows, so each is searched once;
-    rows of alike spread share tiles, and so do their survivors.
-    """
-    _, first, inverse = np.unique(
-        row_keys(pixels), return_index=True, return_inverse=True
-    )
-    rows = pixels[first]
-    sums = rows.sum(axis=1, dtype=np.int64)
-    squares = np.einsum("ij,ij->i", rows, rows, dtype=np.int64)
-    order = np.argsort(n * squares - sums * sums, kind="stable")  # n * Sss
-    place = np.empty_like(order)
-    place[order] = np.arange(len(order))
-    return first[order], place[inverse]
 
 
 def _least_errors(small, large, cand, row_consts, col_consts, n) -> np.ndarray:
@@ -274,8 +253,11 @@ def fbc_encode(img: PixelImage, params: FbcParams) -> FbcCode:
     s = params.small_size
     n = s * s
     pixels = _grid_blocks(img.data, s)
-    distinct, where = _distinct_by_spread(pixels, n)
-    small = pixels[distinct].astype(np.float64)
+    # identical blocks have identical error rows, so each is searched once
+    first, where = np.unique(
+        row_keys(pixels), return_index=True, return_inverse=True
+    )[1:]
+    small = pixels[first].astype(np.float64)
     large = _grid_blocks(downsample2x(img.data.astype(np.float64)), s)
     sum_s = small.sum(axis=1)
     sum_s2 = np.einsum("ij,ij->i", small, small)
@@ -286,17 +268,21 @@ def fbc_encode(img: PixelImage, params: FbcParams) -> FbcCode:
     # exact: var_l is 0 on a flat domain, else >= 1 / (16n)
     sss = sum_s2 - sum_s * sum_s / n
     var_l = sum_l2 - sum_l * sum_l / n
-    unit_small = _unit_rows(small, sum_s, sss)
-    sd_small = np.sqrt(sss)  # in the order of _distinct_by_spread's n * Sss
+    # rows of alike spread share tiles, and so do their survivors
+    by_ss = np.argsort(sss, kind="stable")
+    small, sum_s, sum_s2, sss = small[by_ss], sum_s[by_ss], sum_s2[by_ss], sss[by_ss]
+    where = np.argsort(by_ss)[where]  # argsort inverts a permutation
+    sd_small = np.sqrt(sss)
     # domains in spread order, for the half-spread candidates
     by_sd = np.argsort(var_l, kind="stable")
     sd_large = np.sqrt(var_l[by_sd])
-    unit_large = _unit_rows(large, sum_l, var_l)[by_sd]
     # 2 * b * sum_s is an exact integer either way
     row_consts = (sum_s / n, sum_s2, 2.0 * sum_s)
     # flat domains get alpha = +-0, which quantizes like 0
     var_div = np.where(var_l > 0.0, var_l, np.inf)
     col_consts = (sum_l, sum_l / n, sum_l2, var_div)
+    unit_small = _unit_rows(small, row_consts[0], sd_small)
+    unit_large = _unit_rows(large[by_sd], col_consts[1][by_sd], sd_large)
 
     # one tile of rows at a time: its rho band gives each row's candidates,
     # their least error ub, and a lower bound that rules out domains (see

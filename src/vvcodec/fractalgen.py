@@ -274,15 +274,17 @@ def intervals_csv(intervals: list[Interval]) -> str:
 
 
 def read_integer_grid(text: str) -> np.ndarray:
-    """Parse a whitespace-separated integer grid (0 allowed for unused)."""
-    rows = [line.split() for line in text.splitlines() if line.strip()]
+    """Parse an integer grid (0 allowed for unused). Rows end at '\\n', a
+    trailing '\\r' dropped; only ASCII spaces and tabs separate entries."""
+    lines = (line.removesuffix("\r") for line in text.split("\n"))
+    rows = [r for r in (re.findall(r"[^ \t]+", line) for line in lines) if r]
     if not rows:
         raise ValueError("empty matrix")
+    if not all(re.fullmatch(r"-?[0-9]+", x) for r in rows for x in r):
+        raise ValueError("matrix entries must be integers")
     width = len(rows[0])
     if any(len(r) != width for r in rows):
         raise ValueError("ragged matrix rows")
-    if not all(re.fullmatch(r"-?[0-9]+", x) for r in rows for x in r):
-        raise ValueError("matrix entries must be integers")
     try:
         return np.array([[int(x) for x in r] for r in rows], dtype=np.int64)
     except OverflowError:

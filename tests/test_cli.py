@@ -156,6 +156,16 @@ class TestVvEncodeDecode:
         img = load_pgm(out_pgm.read_bytes())
         assert sorted(np.unique(img.data).tolist()) == [33, 37, 138, 171]
 
+    def test_output_to_a_bare_file_name(self, capsys, monkeypatch, demo_code, tmp_path):
+        # the output's directory is the working directory
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "demo.vvc").write_bytes(vvar.serialize(demo_code))
+        status, _, _ = run_cli(capsys, "vv-decode", "demo.vvc", "demo.pgm")
+        assert status == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["demo.pgm", "demo.vvc"]
+        img = load_pgm((tmp_path / "demo.pgm").read_bytes())
+        assert sorted(np.unique(img.data).tolist()) == [33, 37, 138, 171]
+
     def test_seeded_runs_are_byte_identical(self, capsys, small_image_path, tmp_path):
         first = tmp_path / "one.vvc"
         second = tmp_path / "two.vvc"
@@ -318,6 +328,17 @@ class TestFractalCommand:
             col = 2 * col + (0, 0, 1, 1)[d - 1]
         assert img.data[row, col] == 138
 
+    def test_vsquare_from_crlf_matrix(self, capsys, tmp_path, demo_image):
+        matrix_file = tmp_path / "demo.txt"
+        rows = (" ".join(str(x) for x in row) for row in DEMO_MATRIX)
+        matrix_file.write_bytes("".join(f"{row}\r\n" for row in rows).encode())
+        out_pgm = tmp_path / "sq.pgm"
+        status, _, _ = run_cli(
+            capsys, "fractal", "vsquare", out_pgm, "--matrix", matrix_file
+        )
+        assert status == 0
+        assert np.array_equal(load_pgm(out_pgm.read_bytes()).data, demo_image.data)
+
     def test_vsquare_single_type_constant(self, capsys, tmp_path):
         out_pgm = tmp_path / "flat.pgm"
         status, _, _ = run_cli(
@@ -376,6 +397,9 @@ class TestFractalCommand:
                 for name, entry in [
                     ("letter", "x"), ("decimal-point", "1.5"), ("underscore", "1_0"),
                     ("plus-sign", "+1"), ("arabic-indic-digit", "\u0661"),
+                    ("no-break-space", "1\xa01"), ("ideographic-space", "1\u30001"),
+                    ("file-separator", "1\x1c1"), ("line-separator", "1\u20281"),
+                    ("form-feed", "1\f1"), ("carriage-return", "1\r1"),
                 ]
             ),
             pytest.param(

@@ -120,12 +120,18 @@ class TestQuantizer:
         levels = fbc.alpha_value(np.arange(16))
         assert np.allclose(np.diff(levels), 2 / 15)
 
-    def test_search_step_matches_alpha_value_bit_for_bit(self):
-        # the encoder's search multiplies by the step instead of dividing
-        q = np.arange(16, dtype=np.float64)
-        searched = q * fbc._ALPHA_STEP - 1.0
-        expected = fbc.alpha_value(q)
-        assert np.array_equal(searched.view(np.int64), expected.view(np.int64))
+    def test_search_dequantizes_like_alpha_value_bit_for_bit(self):
+        # cells whose exact slope lies in each level's bin: at its level and
+        # a third of a step to either side (clamped at -1 and 1)
+        q = np.arange(16)
+        cross = (q + np.array([[-1 / 3], [0.0], [1 / 3]])) / 7.5 - 1.0
+        zeros = np.zeros(16)
+        # mean_s = 0 and var = 1, so each cell's exact alpha is its cross
+        twice_aq, _, _ = fbc._collage_errors(
+            cross, (np.zeros((3, 1)),) * 3, (zeros, zeros, zeros, np.ones(16)), 4
+        )
+        expected = np.broadcast_to(2 * fbc.alpha_value(q), cross.shape)
+        assert np.array_equal(twice_aq.view(np.int64), expected.view(np.int64))
 
 
 class TestEncode:
@@ -253,6 +259,29 @@ class TestEncode:
             fbc, "_least_errors", lambda small, *_: np.full(len(small), np.inf)
         )
         assert fbc.serialize(fbc.fbc_encode(img, params)) == default
+
+    @pytest.mark.parametrize("name, s", [("two-level", 4), ("mixed", 2)])
+    def test_search_takes_each_distinct_block_once_in_spread_order(
+        self, monkeypatch, name, s
+    ):
+        # few distinct blocks, or many of them beside 16 repeated patterns
+        img = adversarial_image(name, 256)
+        searched = []
+        search = fbc._search_columns
+
+        def spy(small, *args):
+            searched.append(small.copy())
+            return search(small, *args)
+
+        monkeypatch.setattr(fbc, "_search_columns", spy)
+        fbc.fbc_encode(img, fbc.FbcParams(s))
+        rows = np.concatenate(searched)
+        distinct = np.unique(fbc._grid_blocks(img.data, s), axis=0)
+        assert len(rows) == len(np.unique(rows, axis=0)) == len(distinct)
+        # quarter-integer centering and integer squares: Sss is exact
+        centered = rows - rows.mean(axis=1, keepdims=True)
+        sss = np.einsum("ij,ij->i", centered, centered)
+        assert np.all(np.diff(sss) >= 0.0)
 
     def test_search_scratch_memory_is_bounded(self):
         # 4096 x 1024 (small, large) pairs: 32 MiB per full error matrix

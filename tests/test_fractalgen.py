@@ -424,6 +424,9 @@ class TestTextFormats:
         assert grid.tolist() == [[1, 2, 3], [4, 0, 6]]
         # a negative entry parses, so that the code names it out of range
         assert fg.read_integer_grid("-1 007\n").tolist() == [[-1, 7]]
+        # CRLF line ends, tabs, and blank lines of spaces and tabs
+        grid = fg.read_integer_grid("1\t2\r\n \t\r\n3  4\r\n")
+        assert grid.tolist() == [[1, 2], [3, 4]]
 
     def test_read_integer_grid_errors(self):
         with pytest.raises(ValueError):
@@ -436,5 +439,11 @@ class TestTextFormats:
         for entry in ["1_0", "+3", "\u0663", "1.5", "--1", "-", "0x1"]:
             with pytest.raises(ValueError, match="^matrix entries must be integers$"):
                 fg.read_integer_grid(f"1 {entry}\n")
+        # only '\n' ends a row and only spaces and tabs separate entries, so
+        # other whitespace, Unicode separators among them, is part of an entry
+        for text in ["1\xa02\n3 4\n", "1 2\n3\u30004\n", "1 2\x1c3 4\n",
+                     "1 2\u20283 4", "1 2\n3\f4\n", "1 2\r3 4\n"]:
+            with pytest.raises(ValueError, match="^matrix entries must be integers$"):
+                fg.read_integer_grid(text)
         with pytest.raises(ValueError, match="64-bit"):
             fg.read_integer_grid(f"1 {2 ** 63}\n")
