@@ -12,7 +12,6 @@ import argparse
 import functools
 import os
 import sys
-import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -30,17 +29,15 @@ class _Parser(argparse.ArgumentParser):
 
 def _write_atomic(path: str, data: bytes) -> None:
     target = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=target.parent, suffix=".tmp")
+    # "x" makes a new file, with the mode any new file gets, or raises
+    tmp = target.parent / f"tmp{os.urandom(8).hex()}.tmp"
+    handle = open(tmp, "xb")
     try:
-        with os.fdopen(fd, "wb") as handle:
+        with handle:
             handle.write(data)
-        mask = os.umask(0)
-        os.umask(mask)
-        os.chmod(tmp, 0o666 & ~mask)  # mkstemp defaults to 0600
         os.replace(tmp, target)
     except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+        tmp.unlink(missing_ok=True)
         raise
 
 

@@ -247,8 +247,8 @@ def _pruned(
         stale[idx] = scores.min(axis=0) <= best[idx] + margin[idx]
     redo = order[stale[order]]
 
-    # a row's label stands only if its winner beats every other score in its
-    # window by more than the margin; the guess lies in the window, so the
+    # a row's label stands only if its winner's is the one score in its window
+    # within the margin (margin >= 0); the guess lies in the window, so the
     # winner scores no worse than it
     tile = max(1, min(_TILE_ROWS, _CHUNK_BYTES // (8 * max(k, dim))))
     for start in range(0, len(redo), tile):
@@ -261,11 +261,9 @@ def _pruned(
         lo = int(np.searchsorted(cm, (means[idx] - r).min(), "left"))
         hi = int(np.searchsorted(cm, (means[idx] + r).max(), "right"))
         scores = _score_block(block, sorted_c[lo:hi], sorted_h[lo:hi])
-        at = np.arange(len(idx))
         win = scores.argmin(axis=1)
-        labels[idx], best[idx] = corder[lo + win], scores[at, win]
-        scores[at, win] = np.inf
-        fail = scores[at, scores.argmin(axis=1)] <= best[idx] + margin[idx]
+        labels[idx], best[idx] = corder[lo + win], scores[np.arange(len(idx)), win]
+        fail = (scores <= (best[idx] + margin[idx])[:, None]).sum(axis=1) > 1
         unsure[idx[fail] // rows] = True
     return _Assignment(centroids, labels, best, p2, means, order), unsure
 

@@ -107,6 +107,8 @@ class FbcCode:
     def __post_init__(self) -> None:
         FbcParams(self.small_size).check_side(2 ** self.depth)
         e = np.asarray(self.entries)
+        if not np.issubdtype(e.dtype, np.integer):
+            raise FormatError("entries must be integers")
         if e.shape != (self.n_small, 3):
             raise FormatError(
                 f"expected {self.n_small} entries of 3 fields, got {e.shape}"
@@ -272,6 +274,7 @@ def fbc_encode(img: PixelImage, params: FbcParams) -> FbcCode:
     by_ss = np.argsort(sss, kind="stable")
     small, sum_s, sum_s2, sss = small[by_ss], sum_s[by_ss], sum_s2[by_ss], sss[by_ss]
     where = np.argsort(by_ss)[where]  # argsort inverts a permutation
+    del first, by_ss
     sd_small = np.sqrt(sss)
     # domains in spread order, for the half-spread candidates
     by_sd = np.argsort(var_l, kind="stable")
@@ -285,10 +288,9 @@ def fbc_encode(img: PixelImage, params: FbcParams) -> FbcCode:
     unit_large = _unit_rows(large[by_sd], col_consts[1][by_sd], sd_large)
 
     # one tile of rows at a time: its rho band gives each row's candidates,
-    # their least error ub, and a lower bound that rules out domains (see
-    # _ERR_SLACK for why this is exact); the exact search covers the domains
-    # whose rho^2 reaches the floor of one of the tile's rows, and its
-    # candidates
+    # their least error ub, and a lower bound that rules out domains; the
+    # exact search covers the domains whose rho^2 reaches the floor of one of
+    # the tile's rows, which keeps each row's winner (see _ERR_SLACK)
     n_small, n_large = len(small), len(large)
     rows = min(n_small, max(1, _TILE_CELLS // max(n_large, n)))
     keep = np.empty(n_large, dtype=bool)
@@ -313,7 +315,6 @@ def fbc_encode(img: PixelImage, params: FbcParams) -> FbcCode:
         with np.errstate(divide="ignore"):
             floor = ((1.0 - ub / sss[tile]) - _rho2_slack(n)).astype(np.float32)
         keep[by_sd] = (np.square(band, out=band) >= floor[:, None]).any(axis=0)
-        keep[cand] = True
         found[tile] = _search_columns(
             small[tile], large, np.flatnonzero(keep),
             tuple(c[tile, None] for c in row_consts), col_consts, n,

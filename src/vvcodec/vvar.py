@@ -93,14 +93,16 @@ class VVarCode:
         for t in tables:
             if t.shape != (4 * self.v,):
                 raise FormatError("mid-level label tables must have length 4V")
+        leaves = np.asarray(self.leaf_values)
+        if leaves.shape != (4 * self.v,):
+            raise FormatError(f"leaf_values must have length {4 * self.v}")
+        if any(a.dtype.kind not in "iu" for a in (first, *tables, leaves)):
+            raise FormatError("labels and leaf values must be integers")
         # in stream order, so a corrupt stream names its first bad label
         labels = np.concatenate([first, *tables])
         bad = np.flatnonzero((labels < 1) | (labels > self.v))
         if bad.size:
             raise FormatError(f"label {labels[bad[0]]} out of range 1..{self.v}")
-        leaves = np.asarray(self.leaf_values)
-        if leaves.shape != (4 * self.v,):
-            raise FormatError(f"leaf_values must have length {4 * self.v}")
         if leaves.min() < 0 or leaves.max() > 255:
             raise FormatError("leaf values must lie in 0..255")
         # V=1 stores its leaf table as the first byte

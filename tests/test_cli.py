@@ -1,4 +1,6 @@
 import hashlib
+import os
+import stat
 import subprocess
 import sys
 
@@ -165,6 +167,45 @@ class TestVvEncodeDecode:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["demo.pgm", "demo.vvc"]
         img = load_pgm((tmp_path / "demo.pgm").read_bytes())
         assert sorted(np.unique(img.data).tolist()) == [33, 37, 138, 171]
+
+    @pytest.mark.parametrize("mask", [0o022, 0o077])
+    def test_output_mode_is_0666_less_the_umask(
+        self, capsys, demo_code, tmp_path, mask
+    ):
+        (tmp_path / "demo.vvc").write_bytes(vvar.serialize(demo_code))
+        old = os.umask(mask)
+        try:
+            status, _, _ = run_cli(
+                capsys, "vv-decode", tmp_path / "demo.vvc", tmp_path / "demo.pgm"
+            )
+        finally:
+            os.umask(old)
+        assert status == 0
+        assert stat.S_IMODE((tmp_path / "demo.pgm").stat().st_mode) == 0o666 & ~mask
+
+    def test_writing_leaves_the_umask_alone(
+        self, capsys, monkeypatch, demo_code, demo_image, tmp_path
+    ):
+        def umask(mask):
+            raise AssertionError("the process umask was changed")
+
+        (tmp_path / "demo.vvc").write_bytes(vvar.serialize(demo_code))
+        monkeypatch.setattr(os, "umask", umask)
+        status, _, _ = run_cli(
+            capsys, "vv-decode", tmp_path / "demo.vvc", tmp_path / "demo.pgm"
+        )
+        assert status == 0
+        assert (tmp_path / "demo.pgm").read_bytes() == save_pgm(demo_image)
+
+    def test_failed_rename_leaves_no_file(self, capsys, demo_code, tmp_path):
+        (tmp_path / "demo.vvc").write_bytes(vvar.serialize(demo_code))
+        (tmp_path / "out").mkdir()
+        status, _, err = run_cli(
+            capsys, "vv-decode", tmp_path / "demo.vvc", tmp_path / "out"
+        )
+        assert status == 2 and err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["demo.vvc", "out"]
+        assert list((tmp_path / "out").iterdir()) == []
 
     def test_seeded_runs_are_byte_identical(self, capsys, small_image_path, tmp_path):
         first = tmp_path / "one.vvc"

@@ -470,6 +470,8 @@ class TestInvalidCodeCannotBeMade:
             (depth3_entries(0, 4), "large block index out of range"),
             (depth3_entries(1, 16), "quantized alpha out of range 0..15"),
             (depth3_entries(2, 511), "quantized beta out of range 0..510"),
+            (depth3_entries().astype(np.float64), "entries must be integers"),
+            (depth3_entries().astype(np.float64) + 0.25, "entries must be integers"),
         ],
     )
     def test_invalid_entries_raise(self, entries, message):

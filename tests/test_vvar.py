@@ -441,6 +441,12 @@ class TestInvalidCodeCannotBeMade:
                   level_labels=[np.ones(4, np.int32)],
                   leaf_values=np.array([7, 7, 7, 8], np.uint8)),
              "V=1 codes must have a single leaf value"),
+            (dict(leaf_values=np.full(12, 3.7)),
+             "labels and leaf values must be integers"),
+            (dict(first_labels=np.array([1, 1.5, 2, 3])),
+             "labels and leaf values must be integers"),
+            (dict(level_labels=[np.ones(12, bool)]),
+             "labels and leaf values must be integers"),
         ],
     )
     def test_invalid_fields_raise(self, changes, message):
