@@ -31,14 +31,18 @@ def _write_atomic(path: str, data: bytes) -> None:
     target = Path(path)
     # "x" makes a new file, with the mode any new file gets, or raises
     tmp = target.parent / f"tmp{os.urandom(8).hex()}.tmp"
-    handle = open(tmp, "xb")
     try:
-        with handle:
-            handle.write(data)
-        os.replace(tmp, target)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+        handle = open(tmp, "xb")
+        try:
+            with handle:
+                handle.write(data)
+            os.replace(tmp, target)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
+    except OSError as exc:
+        # the message names the output, not the temporary file
+        raise OSError(exc.errno, exc.strerror, path) from exc
 
 
 def _load_image(path: str):

@@ -18,19 +18,24 @@ A level that fits in one chunk is scored whole on every iteration; a
 larger one only where it can change. On a descent's first iteration every
 point is stale. After it, by code vector activity detection (Kaukoranta,
 Franti & Nevalainen, IEEE TIP 9(8), 2000), a centroid whose bits did not
-change scores every point as before: a point is stale only if its own
-winner moved or a moved centroid, screened alone, comes within a rounding
-margin of its stored winning score. Stale points are scored against the
-window of centroids that the equal-average bound dim*(mean_p - mean_c)^2 <=
+change scores every point as before. Points are scored against the window
+of centroids that the equal-average bound dim*(mean_p - mean_c)^2 <=
 ||p - c||^2 leaves (Guan & Kamel, Pattern Recognition Letters 13(10), 1992;
 Ra & Kim, IEEE TCAS-II 40(9), 1993) under one upper bound: the point's
-score against a guessed centroid, its previous label or, on a first
-iteration, the centroid nearest it in mean. The guess lies in its window,
-so the window is never empty and its winner scores no worse. A label
-stands if it wins its window by more than the margin, else its chunk is
-scored whole as in the full pass, so the labels are the full pass's on any
-BLAS kernel. Likewise the first centroid update sums every cluster and
-later ones only those whose members changed.
+score against a guessed centroid that lies in the window, so the window is
+never empty and its winner scores no worse. A point is stale only if its
+own winner moved or a moved centroid in the window of its stored winning
+score comes within a rounding margin of that score. A stale point's guess
+is its previous label or, on a first iteration, the centroid nearest it in
+mean. A label stands if it wins its window by more than the margin, else
+its chunk is scored whole as in the full pass, so the labels are the full
+pass's on any BLAS kernel.
+
+The rest of an iteration, too, works in proportion to what moved. The
+first centroid update sums every cluster, later ones only those whose
+members changed; the SSE sums a kept buffer of squared residuals whose rows
+are refreshed only in those clusters; and the repairs of bitwise-equal
+empty centroids in one iteration share one distance array.
 """
 
 from __future__ import annotations
@@ -231,41 +236,73 @@ def _pruned(
     # an unmoved centroid keeps its full-pass bits, so the old label, the
     # full pass's, is still the argmin among the unmoved ones; a point
     # keeps it unless its winner moved or a moved centroid comes within
-    # the margin (<=, so a tie with a lower index is rescored)
+    # the margin (<=, so a tie with a lower index is rescored). A moved
+    # centroid outside the window drawn around the stored score of that
+    # label, an unmoved guess, loses to it in the full pass
     margin, slack = _margins(p2, dim, half_c2)
     stale = moved[labels]
-    cols = np.flatnonzero(moved)
-    moved_c, moved_h = centroids[cols], half_c2[cols]
-    keep = np.flatnonzero(~stale)
-    step = max(1, _CHUNK_BYTES // (8 * max(len(cols), dim)))
-    for start in range(0, len(keep), step):
-        # one row per moved centroid: numpy takes a column minimum far
-        # faster than the minimum of each short row
-        idx = keep[start:start + step]
-        scores = moved_c @ points[idx].T
-        np.subtract(moved_h[:, None], scores, out=scores)
-        stale[idx] = scores.min(axis=0) <= best[idx] + margin[idx]
-    redo = order[stale[order]]
+    kept = order[~stale[order]]
+    mine = moved[corder]
+    moved_c, moved_h = sorted_c[mine], sorted_h[mine]
+    block = max(1, _CHUNK_BYTES // (8 * max(k, dim)))
+    starts = np.arange(0, len(kept), block)
+    bound = best[kept] + slack[kept]
+    windows = _windows(cm[mine], means[kept], p2[kept], bound, dim, starts)
+    for start, lo, hi in zip(starts, *windows):
+        if lo < hi:
+            # one row per moved centroid: numpy takes a column minimum far
+            # faster than the minimum of each short row
+            idx = kept[start:start + block]
+            scores = moved_c[lo:hi] @ points[idx].T
+            np.subtract(moved_h[lo:hi, None], scores, out=scores)
+            stale[idx] = scores.min(axis=0) <= best[idx] + margin[idx]
 
     # a row's label stands only if its winner's is the one score in its window
     # within the margin (margin >= 0); the guess lies in the window, so the
     # winner scores no worse than it
-    tile = max(1, min(_TILE_ROWS, _CHUNK_BYTES // (8 * max(k, dim))))
-    for start in range(0, len(redo), tile):
-        idx = redo[start:start + tile]  # in mean order
-        block = points[idx]
-        guess = labels[idx]
-        ub = half_c2[guess] - np.einsum("ij,ij->i", block, centroids[guess])
-        r = np.sqrt((p2[idx] + 2.0 * (ub + slack[idx])) / dim)
-        # every centroid whose mean equals an end is in
-        lo = int(np.searchsorted(cm, (means[idx] - r).min(), "left"))
-        hi = int(np.searchsorted(cm, (means[idx] + r).max(), "right"))
-        scores = _score_block(block, sorted_c[lo:hi], sorted_h[lo:hi])
-        win = scores.argmin(axis=1)
-        labels[idx], best[idx] = corder[lo + win], scores[np.arange(len(idx)), win]
-        fail = (scores <= (best[idx] + margin[idx])[:, None]).sum(axis=1) > 1
-        unsure[idx[fail] // rows] = True
+    redo = order[stale[order]]
+    guess = labels[redo]
+    ub = np.empty(len(redo))
+    for start in range(0, len(redo), block):
+        span = slice(start, start + block)
+        ub[span] = half_c2[guess[span]] - np.einsum(
+            "ij,ij->i", points[redo[span]], centroids[guess[span]]
+        )
+    tile = min(_TILE_ROWS, block)
+    starts = np.arange(0, len(redo), tile)
+    win = np.empty(len(redo), dtype=np.int64)
+    low = np.empty(len(redo))
+    fail = np.empty(len(redo), dtype=bool)
+    windows = _windows(cm, means[redo], p2[redo], ub + slack[redo], dim, starts)
+    for start, lo, hi in zip(starts, *windows):
+        span = slice(start, start + tile)
+        scores = _score_block(points[redo[span]], sorted_c[lo:hi], sorted_h[lo:hi])
+        at = scores.argmin(axis=1)
+        win[span] = lo + at
+        low[span] = scores[np.arange(len(at)), at]
+        thr = low[span] + margin[redo[span]]
+        fail[span] = (scores <= thr[:, None]).sum(axis=1) > 1
+    labels[redo], best[redo] = corder[win], low
+    unsure[redo[fail] // rows] = True
     return _Assignment(centroids, labels, best, p2, means, order), unsure
+
+
+def _windows(
+    cm: np.ndarray,
+    means: np.ndarray,
+    p2: np.ndarray,
+    bound: np.ndarray,
+    dim: int,
+    starts: np.ndarray,
+) -> tuple[list[int], list[int]]:
+    """Each block's window [lo, hi) in the sorted centroid means cm: every
+    mean within r = sqrt((||p||^2 + 2*bound)/dim) of a row's; the rows are
+    in mean order and each block runs from one start to the next."""
+    r = np.sqrt((p2 + 2.0 * bound) / dim)
+    # every centroid whose mean equals an end is in
+    lo = np.searchsorted(cm, np.minimum.reduceat(means - r, starts), "left")
+    hi = np.searchsorted(cm, np.maximum.reduceat(means + r, starts), "right")
+    return lo.tolist(), hi.tolist()
 
 
 def _label_sums(points: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
@@ -292,24 +329,33 @@ def _lloyd(
     recent: list[np.ndarray] = []  # labels of the last two iterations
     history: list[float] = []
     sums = np.empty((k, points.shape[1]))
+    # each point's squared residual to its centroid, refreshed for the
+    # members of touched clusters: the same elements as a fresh
+    # (points - centroids[labels]) ** 2 in the same layout, so the same sum
+    residuals = np.empty_like(points)
     step: _Assignment | None = None
     for _ in range(max_iterations):
         step = _assign(points, centroids, step)
         labels = step.labels.copy()  # the repair must not touch step
         counts = np.bincount(labels, minlength=k)
+        d2s: dict[bytes, np.ndarray] = {}  # one per distinct empty centroid
         for j in np.flatnonzero(counts == 0):
             # farthest point from the empty cluster's current centroid among
             # those whose cluster keeps a member (k <= n, so one exists);
-            # argmax keeps the lowest index on ties
-            d2 = ((points - centroids[j]) ** 2).sum(axis=1)
-            d2[counts[labels] < 2] = -1.0
-            p = d2.argmax()
+            # argmax keeps the lowest index on ties; the mask goes on a new
+            # array, and a later equal centroid masks the distances afresh
+            key = centroids[j].tobytes()
+            if key not in d2s:
+                d2s[key] = ((points - centroids[j]) ** 2).sum(axis=1)
+            p = np.where(counts[labels] < 2, -1.0, d2s[key]).argmax()
             counts[labels[p]] -= 1
             labels[p] = j
             counts[j] = 1
         # bincount adds each cluster's members in point order, so a cluster
-        # that kept its members keeps its sum bit for bit; the first update
-        # touches every cluster, and takes every point as a view, not a copy
+        # that kept its members keeps its sum bit for bit, and summing only
+        # the touched ones, renumbered in order, adds the same points in the
+        # same order; the first update touches every cluster, and takes
+        # every point as a view, not a copy
         touched = np.full(k, not recent)
         members: slice | np.ndarray = slice(None)
         if recent:
@@ -317,9 +363,15 @@ def _lloyd(
             touched[labels[changed]] = True
             touched[recent[0][changed]] = True
             members = np.flatnonzero(touched[labels])
-        sums[touched] = _label_sums(points[members], labels[members], k)[touched]
+        rank = np.cumsum(touched) - 1
+        ours = labels[members]
+        sums[touched] = _label_sums(points[members], rank[ours], int(rank[-1]) + 1)
         centroids = sums / counts[:, None]  # the repair left no count at 0
-        sse = float(((points - centroids[labels]) ** 2).sum())
+        res = centroids[ours]
+        np.subtract(points[members], res, out=res)
+        residuals[members] = np.square(res, out=res)
+        del res  # a first iteration's is n x dim
+        sse = float(residuals.sum())
         history.append(sse)
         # centroids are a function of the labels, so labels seen one or two
         # iterations ago mean a fixed point or a period-2 cycle: stop

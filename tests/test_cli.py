@@ -1,3 +1,4 @@
+import errno
 import hashlib
 import os
 import stat
@@ -26,6 +27,11 @@ def small_image_path(tmp_path):
     path = tmp_path / "small.pgm"
     path.write_bytes(save_pgm(img))
     return path
+
+
+def os_error_line(code, path):
+    """The stderr line of an OSError that names the command's output."""
+    return f"vvcodec: [Errno {code}] {os.strerror(code)}: {str(path)!r}\n"
 
 
 def run_cli(capsys, *argv):
@@ -203,9 +209,18 @@ class TestVvEncodeDecode:
         status, _, err = run_cli(
             capsys, "vv-decode", tmp_path / "demo.vvc", tmp_path / "out"
         )
-        assert status == 2 and err
+        assert status == 2
+        assert err == os_error_line(errno.EISDIR, tmp_path / "out")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["demo.vvc", "out"]
         assert list((tmp_path / "out").iterdir()) == []
+
+    def test_missing_output_directory_is_named(self, capsys, demo_code, tmp_path):
+        (tmp_path / "demo.vvc").write_bytes(vvar.serialize(demo_code))
+        out = tmp_path / "nodir" / "demo.pgm"
+        status, _, err = run_cli(capsys, "vv-decode", tmp_path / "demo.vvc", out)
+        assert status == 2
+        assert err == os_error_line(errno.ENOENT, out)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["demo.vvc"]
 
     def test_seeded_runs_are_byte_identical(self, capsys, small_image_path, tmp_path):
         first = tmp_path / "one.vvc"

@@ -142,6 +142,29 @@ class TestKmeans:
         )
         assert res.labels.tolist() == [1, 3, 2]
 
+    def test_equal_empty_centroids_repair_distinct_points(self):
+        # four bitwise-equal starting centroids: the lowest index wins every
+        # point nearest them, and the three others go empty in one iteration;
+        # the three repairs share one distance array, and each must still
+        # take a point that its predecessors left alone
+        pts = np.arange(24.0).reshape(12, 2) ** 1.5
+        start = np.concatenate([np.repeat(pts[3:4], 4, axis=0), pts[[0, 9]]])
+        assert not np.isin([1, 2, 3], clustering._assign(pts, start).labels).any()
+        opts = ClusterOptions(k=6, max_iterations=1)
+        res = kmeans(pts, opts, initial_centroids=start)
+        assert np.bincount(res.labels)[2:5].tolist() == [1, 1, 1]
+        assert_matches_reference(pts, opts, initial_centroids=start)
+        assert_matches_reference(pts, ClusterOptions(k=6), initial_centroids=start)
+
+    def test_sse_refreshes_every_member_of_a_moved_cluster(self):
+        # the second iteration moves only point 2, from the cluster of 6, 10
+        # and 11 to that of 0 and 1: both centroids move, so every point's
+        # residual changes, not only the one whose label did
+        pts = np.array([[0.0], [1.0], [2.0], [6.0], [10.0], [11.0]])
+        res = kmeans(pts, ClusterOptions(k=2), np.array([[0.0], [2.0]]))
+        assert res.labels.tolist() == [1, 1, 1, 2, 2, 2]
+        assert res.sse_history == [51.25, 16.0, 16.0]
+
     def test_equal_sse_restarts_keep_the_earliest(self):
         # every restart reaches {0, 1} | {10, 11} at SSE 1.0, under either
         # numbering; the result must be the earliest restart's descent
