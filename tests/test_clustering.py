@@ -307,6 +307,12 @@ class TestAssign:
         assert np.array_equal(got, brute_force_assign(pts, cents))
         assert (got < 12).all()
 
+    def test_empty_window_raises(self):
+        # a tile's window always holds its rows' guesses; an empty one is a
+        # fault, and scoring it must raise, not leave rows unwritten
+        with pytest.raises(ValueError):
+            clustering._nearest(np.ones((3, 2)), np.empty((0, 2)), np.empty(0))
+
     @pytest.mark.parametrize("rows", [1, 3])
     def test_chunk_boundaries(self, monkeypatch, rows):
         rng = np.random.default_rng(14)
@@ -468,16 +474,16 @@ class TestIncrementalAssign:
         moved[3] = (998.0, 0.0)
 
         tiles, chunks = [], []
-        score_block = clustering._score_block
+        nearest = clustering._nearest
 
         def spy(points, centroids, half_c2):
             # the whole-chunk pass scores the centroids as given
             (chunks if centroids is moved else tiles).append(points.copy())
-            return score_block(points, centroids, half_c2)
+            return nearest(points, centroids, half_c2)
 
-        monkeypatch.setattr(clustering, "_score_block", spy)
+        monkeypatch.setattr(clustering, "_nearest", spy)
         got = clustering._assign(pts, moved, prev)
-        monkeypatch.setattr(clustering, "_score_block", score_block)
+        monkeypatch.setattr(clustering, "_nearest", nearest)
         assert len(tiles) == 1
         assert sorted(tiles[0].tolist()) == sorted(pts[[37, 150]].tolist())
         assert len(chunks) == 1 and np.array_equal(chunks[0], pts[32:48])
@@ -632,14 +638,62 @@ class TestIncrementalAssign:
         assert_same_as_full_pass(pts, cents, after)
 
     def test_nothing_moved(self, monkeypatch):
+        # with no centroid moved no row is stale: every block the walk
+        # yields has an empty window, and nothing is scored
         monkeypatch.setattr(clustering, "_CHUNK_BYTES", 8 * 8)
         rng = np.random.default_rng(23)
         pts = rng.random((30, 2))
         cents = pts[:8].copy()
         prev = clustering._assign(pts, cents)
+        windows, nearest = clustering._windows, clustering._nearest
+        blocks, scored = [], []
+
+        def walk(*args):
+            for block in windows(*args):
+                blocks.append(block)
+                yield block
+
+        def score(points, centroids, half_c2):
+            scored.append(len(points))
+            return nearest(points, centroids, half_c2)
+
+        monkeypatch.setattr(clustering, "_windows", walk)
+        monkeypatch.setattr(clustering, "_nearest", score)
         got = clustering._assign(pts, cents.copy(), prev)
+        assert all(lo == hi for _, lo, hi in blocks)
+        assert scored == []
         assert np.array_equal(got.labels, prev.labels)
         assert np.array_equal(got.scores, prev.scores)
+
+    @settings(settings.get_profile("fuzz"), max_examples=300)
+    @given(
+        st.lists(st.integers(0, 6), min_size=0, max_size=40),
+        st.lists(st.integers(0, 8), min_size=1, max_size=12),
+        st.integers(1, 4), st.integers(1, 9), st.integers(0, 2 ** 32 - 1),
+    )
+    def test_windows_hold_every_rows_window(self, pmeans, cmeans, dim, height, seed):
+        # duplicate means among rows and centroids, and zero-width windows
+        # (a bound of -||p||^2 / 2); rows are any points in mean order
+        rng = np.random.default_rng(seed)
+        n = len(pmeans)
+        means = np.array(pmeans, dtype=np.float64) / 2
+        p2 = dim * means ** 2 + rng.integers(0, 3, n)
+        bound = np.where(rng.random(n) < 0.3, -0.5 * p2, rng.random(n) * 4)
+        rows = rng.permutation(n)
+        rows = rows[np.argsort(means[rows], kind="stable")]
+        bound = bound[rows]
+        cm = np.sort(np.array(cmeans, dtype=np.float64) / 2)
+        r = np.sqrt((p2[rows] + 2.0 * bound) / dim)
+        want_lo = np.searchsorted(cm, means[rows] - r, "left")
+        want_hi = np.searchsorted(cm, means[rows] + r, "right")
+        covered = []
+        walk = clustering._windows(cm, rows, means, p2, bound, dim, height)
+        for span, lo, hi in walk:
+            block = np.arange(n)[span]
+            assert 0 < len(block) <= height
+            assert lo <= want_lo[block].min() and want_hi[block].max() <= hi
+            covered.extend(block.tolist())
+        assert covered == list(range(n))
 
 
 TESTS_DIR = Path(__file__).resolve().parent
