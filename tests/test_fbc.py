@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import re
 import tracemalloc
 
@@ -8,11 +9,27 @@ import pytest
 from conftest import adversarial_image, constant_image, spectral_field
 from vvcodec import fbc
 from vvcodec.bitpack import pack
-from vvcodec.imaging import FormatError, PixelImage
+from vvcodec.imaging import FormatError, PixelImage, downsample2x
 
 
 def natural_image(seed: int, size: int) -> PixelImage:
     return PixelImage.from_real(128 + 40 * spectral_field(seed, 2.0, size))
+
+
+def reference_iterates(code: fbc.FbcCode, init: float):
+    """The full-resolution decoder loop: each pass downsamples the whole
+    iterate, cuts it into large blocks, gathers each small block's domain and
+    maps it to alpha * d + beta. Yields the real-valued iterates."""
+    side, s = 2 ** code.depth, code.small_size
+    alpha = fbc.alpha_value(code.entries[:, 1])[:, None]
+    beta = code.entries[:, 2].astype(np.float64)[:, None] - 255.0
+    plane = np.full((side, side), float(init))
+    while True:
+        domains = fbc._grid_blocks(downsample2x(plane), s)
+        blocks = alpha * domains[code.entries[:, 0]] + beta
+        plane = blocks.reshape(side // s, side // s, s, s).transpose(0, 2, 1, 3)
+        plane = plane.reshape(side, side)
+        yield plane
 
 
 def brute_force_best(img: PixelImage, s: int):
@@ -358,18 +375,84 @@ class TestDecode:
 
     def test_successive_iterates_contract(self):
         # with every |alpha| <= 15/16 the sup-norm of successive differences
-        # cannot grow
+        # cannot grow. The pass function runs from the flat plane's table,
+        # as the decoder does, so the first passes are the coarse ones; each
+        # step writes the real-valued iterate at its resolution, compared at
+        # full resolution, and the next table
         img = natural_image(31, 32)
         code = fbc.fbc_encode(img, fbc.FbcParams(4))
         code.entries[:, 1] = np.clip(code.entries[:, 1], 1, 14)
+        maps = fbc._block_maps(code)
+        table = np.full((1, 1, code.n_large), 128.0)
         current = np.full((32, 32), 128.0)
         diffs = []
-        for _ in range(12):
-            nxt = fbc.apply_block_transform(code, current)
+        for want in itertools.islice(reference_iterates(code, 128.0), 12):
+            n = 32 * len(table) // 4  # the iterate's values a side
+            nxt = fbc.apply_block_transform(maps, table, np.empty((n, n)))
+            nxt = nxt.repeat(32 // n, axis=0).repeat(32 // n, axis=1)
+            assert np.array_equal(nxt, want)
             diffs.append(float(np.abs(nxt - current).max()))
             current = nxt
+            b = min(2 * len(table), 4)
+            table = fbc.apply_block_transform(
+                maps, table, np.empty((b, b, code.n_large))
+            )
         for earlier, later in zip(diffs[1:], diffs[2:]):
             assert later <= earlier + 1e-9
+
+    def test_mean_of_four_equal_values_is_exact(self):
+        # the coarse passes copy each value where the full-resolution loop
+        # takes downsample2x of four equal ones: random bits below 2^62 are
+        # finite doubles under 2, subnormals included
+        rng = np.random.default_rng(5)
+        plane = rng.integers(0, 2 ** 62, (128, 128)).view(np.float64)
+        plane[::2] *= -1.0
+        full = plane.repeat(2, axis=0).repeat(2, axis=1)
+        assert np.array_equal(downsample2x(full), plane)
+
+    @pytest.mark.parametrize("kind", ["natural", "constant", "two-level", "dither"])
+    @pytest.mark.parametrize("s", [2, 4, 8, 16, 32])
+    def test_matches_the_full_resolution_loop(self, kind, s):
+        # every iteration count up to two past the last coarse pass (the
+        # first log2(s) + 1 read a coarse iterate), and the default 10
+        img = {
+            "natural": natural_image(37, 128),
+            "constant": constant_image(93, depth=7),
+            "two-level": adversarial_image("two-level", 128),
+            "dither": adversarial_image("dither", 128),
+        }[kind]
+        self.assert_matches_reference(fbc.fbc_encode(img, fbc.FbcParams(s)))
+
+    def test_largest_blocks_match_the_full_resolution_loop(self):
+        # s = 128 on a 256 px image: one large block, eight coarse passes
+        code = fbc.fbc_encode(natural_image(41, 256), fbc.FbcParams(128))
+        self.assert_matches_reference(code)
+
+    @staticmethod
+    def assert_matches_reference(code):
+        s = code.small_size
+        last = max(s.bit_length() + 2, 10)  # log2(2s) + 2 = bit_length + 2
+        for init in (0.0, 128.0, 255.0, 17.3):
+            planes = reference_iterates(code, init)
+            for iterations, plane in zip(range(1, last + 1), planes):
+                got = fbc.fbc_decode(code, fbc.FbcParams(s, iterations), init)
+                want = PixelImage.from_real(plane)
+                assert np.array_equal(got.data, want.data), (iterations, init)
+
+    @pytest.mark.parametrize("iterations", [1, 2, 3, 10, 13])
+    def test_one_pass_function_call_per_iteration(self, monkeypatch, iterations):
+        # perfbench counts and times decoder passes by wrapping this function
+        calls = []
+        real = fbc.apply_block_transform
+
+        def spy(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(fbc, "apply_block_transform", spy)
+        code = fbc.fbc_encode(natural_image(43, 64), fbc.FbcParams(4))
+        fbc.fbc_decode(code, fbc.FbcParams(4, iterations))
+        assert len(calls) == iterations
 
     def test_decode_constant_round_trip(self):
         img = constant_image(60, depth=4)
