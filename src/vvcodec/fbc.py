@@ -11,19 +11,23 @@ of the values each, with the bits of the full-resolution loop. No block
 isometries are used; a code entry is (large block index, q_alpha, q_beta).
 The encoder's domain search is exact but pruned (Saupe 1995; Fisher 1995,
 ch. 3). Identical small blocks are searched once, in tiles of rows of alike
-spread, with one correlation pass per tile: a float32 matmul of mean-removed,
-unit-norm blocks gives each cell's rho, and whatever alpha and beta, the
-error is at least Sss * (1 - rho^2), Sss being the small block's centered
-sum of squares. Each row's upper bound ub is the exact error of two
-candidate blocks picked from the same rho. A cell is skipped only when its
-lower bound exceeds ub plus a margin derived from the magnitudes (see
-_ERR_SLACK), so the winner and every cell tied with it survive. The exact
-error expressions then run over the union of the columns that survive for
-any of the tile's rows. Each tile's error arrays hold at most _TILE_CELLS
-cells, or one row when a row holds more; the pixels its exact search
-gathers are at most one more copy of the side^2 / 4 cell domain table. So
-scratch memory grows no faster than the block tables do, and the output is
-bit for bit that of the full scan.
+spread, four tiles to a group, with one correlation pass per group: a
+float32 matmul of mean-removed, unit-norm blocks gives each cell's rho, and
+whatever alpha and beta, the error is at least Sss * (1 - rho^2), Sss being
+the small block's centered sum of squares. Each row's upper bound ub is the
+exact error of two candidate blocks picked from the same rho. A cell is
+skipped only when its lower bound exceeds ub plus a margin derived from the
+magnitudes (see _ERR_SLACK), so the winner and every cell tied with it
+survive. A group's rows get their ub in one pass. Where a tile's rows keep
+at most a quarter of their cells, the exact error expressions run on each
+row's own survivors, listed across tiles and scored in batches; elsewhere
+they run over the union of the columns that survive for any of the tile's
+rows. Either way each cell gets the bits of the full error matrix, and ties
+go to the lowest index. Each search's arrays hold at most _TILE_CELLS cells,
+or one row when a row holds more; the pixels it gathers are at most one more
+copy of the side^2 / 4 cell domain table, or four tiles' worth for a group's
+candidates. So scratch memory grows no faster than the block tables do, and
+the output is bit for bit that of the full scan.
 """
 
 from __future__ import annotations
@@ -39,13 +43,18 @@ from .imaging import MAX_DEPTH, FormatError, PixelImage, downsample2x, row_keys
 ALPHA_BITS = 4
 BETA_BITS = 9
 # float64 cells per search array (1 MiB). A tile has this many cells
-# divided by max(n_large, n) rows, so neither its search arrays nor the
-# pixels gathered for one of its candidates exceed it; those gathered for
-# its exact search, |cols| x n cells, can be the whole domain table, side^2
-# / 4 cells. Larger tiles spread each tile's calls over more rows, but
-# every row of a tile pays for the union of its rows' columns. On image B
-# (2-core Xeon, numpy 2.4, OpenBLAS 0.3.31) 2^16 ran s=4, the costliest
-# size, ~1.2x slower, and 2^18 ran s=8 ~1.15x slower.
+# divided by max(n_large, n) rows, so its search arrays do not exceed it,
+# and the pixels gathered for one candidate of a group's four tiles do not
+# exceed four times it; those gathered for a union search, |cols| x n
+# cells, can be the whole domain table, side^2 / 4 cells. Listed survivors
+# are scored once the next tile's would take them past _TILE_CELLS // n
+# cells, whose pixels are one tile's worth; a listed tile keeps at most a
+# quarter of its cells, so a batch holds at most a quarter of a tile's
+# cells (n >= 4), or of one row's when a row holds more. Larger tiles spread
+# each call over more rows, but a union search pays for the union of its
+# rows' columns. On image B (2-core Xeon, numpy 2.4, OpenBLAS 0.3.31) a
+# sweep of 2^15 to 2^19 found none faster than 2^17 beyond the noise, and
+# 2^15 and 2^19 ran s=4, the costliest size, ~1.4-2x slower.
 _TILE_CELLS = 1 << 17
 # The search skips a cell only when a lower bound on its exact error exceeds
 # ub, the least computed error of its row's candidates, plus n * _ERR_SLACK.
@@ -248,6 +257,30 @@ def _search_columns(small, large, cols, row_consts, col_consts, n) -> np.ndarray
     return np.column_stack((cols[best], q_alpha, b_int[at] + 255.0))
 
 
+def _search_cells(small, large, rows, domains, row_consts, col_consts, n):
+    """The listed rows and each one's best (domain, q_alpha, q_beta) over its
+    own cells, ties to the lowest index: cell k pairs small row rows[k]
+    (ascending) with domain domains[k], and each row's domains are distinct."""
+    cross = np.empty(len(rows))
+    step = max(1, _TILE_CELLS // n)  # cells per gather, as in a tile
+    for k in range(0, len(rows), step):
+        cell = slice(k, k + step)
+        # integer times quarter-integer products: exact in any order
+        np.einsum("ij,ij->i", small[rows[cell]], large[domains[cell]], out=cross[cell])
+    aq, b_int, err = _collage_errors(
+        cross, tuple(c[rows] for c in row_consts),
+        tuple(c[domains] for c in col_consts), n,
+    )
+    first = np.flatnonzero(np.diff(rows, prepend=-1))
+    per_row = np.diff(first, append=len(rows))
+    least = np.minimum.reduceat(err, first)
+    tied = np.where(err == np.repeat(least, per_row), domains, len(large))
+    best = np.minimum.reduceat(tied, first)
+    win = np.flatnonzero(tied == np.repeat(best, per_row))
+    q_alpha = np.rint((aq[win] / 2.0 + 1.0) * 7.5)
+    return rows[first], np.column_stack((best, q_alpha, b_int[win] + 255.0))
+
+
 def fbc_encode(img: PixelImage, params: FbcParams) -> FbcCode:
     """Find the best (large block, alpha, beta) triple for every small block.
 
@@ -291,38 +324,81 @@ def fbc_encode(img: PixelImage, params: FbcParams) -> FbcCode:
     unit_small = _unit_rows(small, row_consts[0], sd_small)
     unit_large = _unit_rows(large[by_sd], col_consts[1][by_sd], sd_large)
 
-    # one tile of rows at a time: its rho band gives each row's candidates,
-    # their least error ub, and a lower bound that rules out domains; the
-    # exact search covers the domains whose rho^2 reaches the floor of one of
-    # the tile's rows, which keeps each row's winner (see _ERR_SLACK)
+    # tiles of rows, four to a group: each tile's rho band gives its rows'
+    # candidates, the group's least candidate errors give each row's ub, and
+    # a row's floor rules out the domains whose rho^2 falls below it, which
+    # keeps the row's winner (see _ERR_SLACK). A tile whose rows keep more
+    # than a quarter of their cells searches its union of kept domains with
+    # one matmul; the others list each row's own, scored in batches. On the
+    # machine above, listing every tile ran the dense 256 px test images
+    # 2.0-4.3x slower, the union everywhere B and A 1.2-1.5x. Cut-offs of
+    # 1/16 and 1/8 ran dither at s=4 1.13x and 1.07x slower, 3/8 noise at
+    # s=16 2.1x, 1/2 dither at s=8 1.8x
     n_small, n_large = len(small), len(large)
     rows = min(n_small, max(1, _TILE_CELLS // max(n_large, n)))
+    batch = _TILE_CELLS // n
     keep = np.empty(n_large, dtype=bool)
-    found = np.empty((n_small, 3), dtype=np.int32)
-    for start in range(0, n_small, rows):
-        tile = slice(start, min(start + rows, n_small))
-        band = unit_small[tile] @ unit_large.T
-        # the most and least correlated domain among those with at least
-        # half the spread of the tile's widest row (its last), whose slope
-        # seldom needs clamping. Any candidates give a ub no smaller than the
-        # winner's error; these seldom give one far above it
-        j0 = min(int(np.searchsorted(sd_large, 0.5 * sd_small[tile.stop - 1])),
-                 n_large - 1)
-        wide = band[:, j0:]
-        cand = by_sd[np.stack([wide.argmax(axis=1), wide.argmin(axis=1)]) + j0]
+    # every row keeps its winner; were one to keep nothing, its -1 would
+    # fail FbcCode's checks rather than pass as a code
+    found = np.full((n_small, 3), -1, dtype=np.int32)
+    listed, cells = [], 0  # survivors of listed rows, flat in spread order
+
+    def flush():
+        nonlocal cells
+        r, c = np.divmod(np.concatenate(listed), n_large)
+        c = by_sd[c]  # replaces the spread-order columns: one array less
+        at, best = _search_cells(small, large, r, c, row_consts, col_consts, n)
+        found[at] = best
+        listed.clear()
+        cells = 0
+
+    for start in range(0, n_small, 4 * rows):
+        group = slice(start, min(start + 4 * rows, n_small))
+        # one matmul for the group's tiles, at most 4 * _TILE_CELLS float32
+        # values (2 MiB): ~5% faster at s = 4 and 8 than one per tile
+        band = unit_small[group] @ unit_large.T
+        tiles = [slice(t, min(t + rows, len(band))) for t in range(0, len(band), rows)]
+        cand = []
+        for tile in tiles:
+            # the most and least correlated domain among those with at least
+            # half the spread of the tile's widest row (its last), whose
+            # slope seldom needs clamping. Any candidates give a ub no
+            # smaller than the winner's error; these seldom give one far
+            # above it
+            widest = sd_small[start + tile.stop - 1]
+            j0 = min(int(np.searchsorted(sd_large, 0.5 * widest)), n_large - 1)
+            wide = band[tile, j0:]
+            cand.append(np.stack([wide.argmax(axis=1), wide.argmin(axis=1)]) + j0)
+        # each row's ub from its own candidates: the bits of a tile alone
         ub = _least_errors(
-            small[tile], large, cand, tuple(c[tile] for c in row_consts),
-            col_consts, n,
+            small[group], large, by_sd[np.concatenate(cand, axis=1)],
+            tuple(c[group] for c in row_consts), col_consts, n,
         )
         ub += n * _ERR_SLACK
-        # every error is at least Sss * (1 - rho^2): keep rho^2 >= floor
+        # every error is at least Sss * (1 - rho^2): keep rho^2 >= floor, a
+        # tile at a time while its band is in cache
         with np.errstate(divide="ignore"):
-            floor = ((1.0 - ub / sss[tile]) - _rho2_slack(n)).astype(np.float32)
-        keep[by_sd] = (np.square(band, out=band) >= floor[:, None]).any(axis=0)
-        found[tile] = _search_columns(
-            small[tile], large, np.flatnonzero(keep),
-            tuple(c[tile, None] for c in row_consts), col_consts, n,
-        )
+            floor = ((1.0 - ub / sss[group]) - _rho2_slack(n)).astype(np.float32)
+        masks = [np.square(band[t], out=band[t]) >= floor[t, None] for t in tiles]
+        del band, wide  # before the searches allocate theirs
+        for tile, mask in zip(tiles, masks):
+            count = np.count_nonzero(mask)  # before any index is listed
+            at = slice(start + tile.start, start + tile.stop)
+            if 4 * count > mask.size:
+                if listed:  # rows reach the searches in spread order
+                    flush()
+                keep[by_sd] = mask.any(axis=0)
+                found[at] = _search_columns(
+                    small[at], large, np.flatnonzero(keep),
+                    tuple(c[at, None] for c in row_consts), col_consts, n,
+                )
+            else:
+                if cells + count > batch and listed:
+                    flush()
+                listed.append(np.flatnonzero(mask) + at.start * n_large)
+                cells += count
+    if listed:
+        flush()
     return FbcCode(img.depth, s, found[where])
 
 

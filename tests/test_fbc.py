@@ -67,6 +67,20 @@ def brute_force_best(img: PixelImage, s: int):
     return results
 
 
+def search_operands(img: PixelImage, s: int):
+    """The encoder's search operands over every small block, unsorted and
+    not deduplicated: (small, large, row_consts, col_consts, n)."""
+    n = s * s
+    small = fbc._grid_blocks(img.data, s).astype(np.float64)
+    large = fbc._grid_blocks(downsample2x(img.data.astype(np.float64)), s)
+    sum_s, sum_l = small.sum(axis=1), large.sum(axis=1)
+    sum_l2 = np.einsum("ij,ij->i", large, large)
+    var_l = sum_l2 - sum_l * sum_l / n
+    row_consts = (sum_s / n, np.einsum("ij,ij->i", small, small), 2.0 * sum_s)
+    var_div = np.where(var_l > 0.0, var_l, np.inf)
+    return small, large, row_consts, (sum_l, sum_l / n, sum_l2, var_div), n
+
+
 # (image, small size), named by the image alone at s = 4. Sizes 32 to 128
 # reach n = 128^2 pixels a block, the most that fbc's exactness bounds hold for
 PRUNING_CASES = {
@@ -277,20 +291,27 @@ class TestEncode:
         )
         assert fbc.serialize(fbc.fbc_encode(img, params)) == default
 
-    @pytest.mark.parametrize("name, s", [("two-level", 4), ("mixed", 2)])
+    @pytest.mark.parametrize("name, s", [("two-level", 4), ("mixed", 2), ("mixed", 4)])
     def test_search_takes_each_distinct_block_once_in_spread_order(
         self, monkeypatch, name, s
     ):
-        # few distinct blocks, or many of them beside 16 repeated patterns
+        # few distinct blocks, or many of them beside 16 repeated patterns;
+        # two-level takes only the union search, mixed both: one union tile
+        # beside 63 listed batches at s=2, 17 beside 2 at s=4
         img = adversarial_image(name, 256)
         searched = []
-        search = fbc._search_columns
+        search_columns, search_cells = fbc._search_columns, fbc._search_cells
 
-        def spy(small, *args):
+        def spy_columns(small, *args):
             searched.append(small.copy())
-            return search(small, *args)
+            return search_columns(small, *args)
 
-        monkeypatch.setattr(fbc, "_search_columns", spy)
+        def spy_cells(small, large, rows, *args):
+            searched.append(small[np.unique(rows)])
+            return search_cells(small, large, rows, *args)
+
+        monkeypatch.setattr(fbc, "_search_columns", spy_columns)
+        monkeypatch.setattr(fbc, "_search_cells", spy_cells)
         fbc.fbc_encode(img, fbc.FbcParams(s))
         rows = np.concatenate(searched)
         distinct = np.unique(fbc._grid_blocks(img.data, s), axis=0)
@@ -299,6 +320,53 @@ class TestEncode:
         centered = rows - rows.mean(axis=1, keepdims=True)
         sss = np.einsum("ij,ij->i", centered, centered)
         assert np.all(np.diff(sss) >= 0.0)
+
+    @pytest.mark.parametrize("kind", ["ties", "tight", "flat_corner"])
+    def test_listed_cells_score_like_the_union_search(self, kind):
+        # every row gets its own domains: row 0 all of them, highest index
+        # first, row 1 one, the others a shuffled random subset; each row is
+        # also searched alone over the same domains in index order
+        if kind == "flat_corner":  # four flat domains, var_div = inf
+            plane = natural_image(13, 16).data.copy()
+            plane[:8, :8] = 100
+            img = PixelImage(plane)
+        else:
+            img = stress_image(kind)
+        small, large, row_consts, col_consts, n = search_operands(img, 2)
+        rng = np.random.default_rng(3)
+        rows, domains, want = [], [], []
+        for row in range(len(small)):
+            size = {0: len(large), 1: 1}.get(row, int(rng.integers(1, len(large) + 1)))
+            cols = rng.permutation(len(large))[:size] if row else np.arange(size)[::-1]
+            rows.append(np.full(size, row))
+            domains.append(cols)
+            want.append(fbc._search_columns(
+                small[row:row + 1], large, np.sort(cols),
+                tuple(c[row:row + 1, None] for c in row_consts), col_consts, n,
+            ))
+        at, got = fbc._search_cells(
+            small, large, np.concatenate(rows), np.concatenate(domains),
+            row_consts, col_consts, n,
+        )
+        assert np.array_equal(at, np.arange(len(small)))
+        assert np.array_equal(got, np.concatenate(want))
+        if kind == "ties":
+            # three equal large blocks fit row 0 (small block 0) exactly;
+            # the lowest index wins, listed in any order
+            assert tuple(got[0]) == (1, 1, 482)
+
+    def test_a_row_left_unsearched_fails_the_code_checks(self, monkeypatch):
+        # every row keeps its winner; were one to be left out of the
+        # searches, the encode must raise, not emit an unset entry
+        search_cells = fbc._search_cells
+
+        def drop_first_row(*args):
+            at, best = search_cells(*args)
+            return at[1:], best[1:]
+
+        monkeypatch.setattr(fbc, "_search_cells", drop_first_row)
+        with pytest.raises(FormatError, match="large block index"):
+            fbc.fbc_encode(natural_image(5, 64), fbc.FbcParams(2))
 
     def test_search_scratch_memory_is_bounded(self):
         # 4096 x 1024 (small, large) pairs: 32 MiB per full error matrix

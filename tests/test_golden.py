@@ -14,7 +14,7 @@ import pytest
 from conftest import adversarial_image, random_vvar_code
 from vvcodec import cli, fbc, vvar
 from vvcodec import fractalgen as fg
-from vvcodec.imaging import save_pgm
+from vvcodec.imaging import PixelImage, save_pgm
 
 # SHA-256 of vvar.serialize(vvar.encode(image A, V, **ENCODE_OPTS))
 VV_DIGESTS = {
@@ -44,8 +44,11 @@ FBC_DIGESTS = {
     ("b", 16): "8c2e53ba4c66c1c5b96784e2b28b54737df3c1f990c91403a8bb0c87dc39efbe",
 }
 # SHA-256 of fbc.serialize(fbc.fbc_encode(adversarial_image(name, 256),
-# FbcParams(s))): inputs on which the search's bounds rule out little,
-# pinned from the dense search before it was pruned
+# FbcParams(s))), "b-crop" being image B's top-left 256 x 256 pixels: inputs
+# on which the search's bounds rule out little. The constant,
+# two-level and mixed digests were pinned from the dense search before it
+# was pruned; the others from the search that scored the union of a tile's
+# surviving domains
 FBC_ADVERSARIAL_DIGESTS = {
     ("constant", 4): "74b494e23190caaf9f7b8d158e73b9c5cc2e508c69e4a427dac83528de878866",
     ("constant", 8): "d1620380682380ac0db6609054b900b0d04d49cbdb3aeb7605c51cd50b534a85",
@@ -56,6 +59,16 @@ FBC_ADVERSARIAL_DIGESTS = {
     ("mixed", 4): "af35baa97942597bbc7395823fb4aef7d788bd2a31fe0106bfbfc5ff530c2731",
     ("mixed", 8): "632ceeae109a089cb2cc92e46380384c4d2adf156eaa3d00741fa3cb0605f43a",
     ("mixed", 16): "138961bbf07cea097319744279d4765a5adace538b41ea7aff32baf22de55fb1",
+    ("dither", 4): "84514b7765bfd84c65e97af0c4114f380030f7f1584f908f828856e5024fa72e",
+    ("dither", 8): "41193bdbfff22daa8deb2996296b9d0f33b44cda2e18d0054cf5fbcce3514011",
+    ("dither", 16): "72e0e60aee8e22bbf514f554babed6b8f3d32ec85993f924b0442279a72da2af",
+    ("noise", 4): "5f2e8ff571e2293c5020a60e984544fc6841e11fa1c343d986e75d7144739593",
+    ("noise", 8): "3597e1a1e22f78832341297f0b35dbd41c3ee9b4c2bbc7b45929d5290ece15b6",
+    ("noise", 16): "780a25f57d9d1b37a9008d6dcb4d9e76b92e88f7cf03873f3f0c5e49c8592d6b",
+    ("gradient", 4): "0db29a417f186846c73ff2a50ad97cb5678279eea522187c0864c5ffd021160c",
+    ("gradient", 8): "dea0283443c1c83f11a9090f60fa6d5f5b596499f88ac94d11ed76dbc260c160",
+    ("gradient", 16): "bcf2bfde5886d0cd021c90286d215fac5890c1de7f85939539715720a3a0fdba",
+    ("b-crop", 2): "4ace17042eaba58916e0dc3358db2f763cd5c951cd4d9f59300e6ce6892713cd",
 }
 # SHA-256 of save_pgm(vvar.decode(random_vvar_code(default_rng([V, depth]),
 # V, depth))), keyed by (V, depth): the six benchmark V at depth 9, where the
@@ -149,10 +162,14 @@ def test_fbc1_decode_digest(fbc_golden_codes, s):
     assert sha256(save_pgm(image)) == FBC_DECODE_DIGESTS[s]
 
 
-def test_fbc1_adversarial_digest():
+def test_fbc1_adversarial_digest(image_b):
     got = {}
     for name, s in FBC_ADVERSARIAL_DIGESTS:
-        code = fbc.fbc_encode(adversarial_image(name, 256), fbc.FbcParams(s))
+        if name == "b-crop":
+            img = PixelImage(image_b.data[:256, :256])
+        else:
+            img = adversarial_image(name, 256)
+        code = fbc.fbc_encode(img, fbc.FbcParams(s))
         got[(name, s)] = sha256(fbc.serialize(code))
     assert got == FBC_ADVERSARIAL_DIGESTS
 
