@@ -18,16 +18,16 @@ the small block's centered sum of squares. Each row's upper bound ub is the
 exact error of two candidate blocks picked from the same rho. A cell is
 skipped only when its lower bound exceeds ub plus a margin derived from the
 magnitudes (see _ERR_SLACK), so the winner and every cell tied with it
-survive. A group's rows get their ub in one pass. Where a tile's rows keep
-at most a quarter of their cells, the exact error expressions run on each
-row's own survivors, listed across tiles and scored in batches; elsewhere
-they run over the union of the columns that survive for any of the tile's
-rows. Either way each cell gets the bits of the full error matrix, and ties
-go to the lowest index. Each search's arrays hold at most _TILE_CELLS cells,
-or one row when a row holds more; the pixels it gathers are at most one more
-copy of the side^2 / 4 cell domain table, or four tiles' worth for a group's
-candidates. So scratch memory grows no faster than the block tables do, and
-the output is bit for bit that of the full scan.
+survive. One routine scores listed cells with row-wise dot products: a
+group's candidates, for its rows' ub, and, where a tile's rows keep at most
+a quarter of their cells, each row's own survivors, listed across tiles and
+scored in batches. Other tiles' rows are scored over the union of the
+columns that survive for any of the tile's rows. Either way each cell gets
+the bits of the full error matrix, and ties go to the lowest index. Each
+search's arrays hold at most _TILE_CELLS cells, or one row when a row holds
+more; the pixels it gathers are at most one more copy of the side^2 / 4
+cell domain table. So scratch memory grows no faster than the block tables
+do, and the output is bit for bit that of the full scan.
 """
 
 from __future__ import annotations
@@ -43,18 +43,18 @@ from .imaging import MAX_DEPTH, FormatError, PixelImage, downsample2x, row_keys
 ALPHA_BITS = 4
 BETA_BITS = 9
 # float64 cells per search array (1 MiB). A tile has this many cells
-# divided by max(n_large, n) rows, so its search arrays do not exceed it,
-# and the pixels gathered for one candidate of a group's four tiles do not
-# exceed four times it; those gathered for a union search, |cols| x n
-# cells, can be the whole domain table, side^2 / 4 cells. Listed survivors
-# are scored once the next tile's would take them past _TILE_CELLS // n
-# cells, whose pixels are one tile's worth; a listed tile keeps at most a
-# quarter of its cells, so a batch holds at most a quarter of a tile's
-# cells (n >= 4), or of one row's when a row holds more. Larger tiles spread
-# each call over more rows, but a union search pays for the union of its
-# rows' columns. On image B (2-core Xeon, numpy 2.4, OpenBLAS 0.3.31) a
-# sweep of 2^15 to 2^19 found none faster than 2^17 beyond the noise, and
-# 2^15 and 2^19 ran s=4, the costliest size, ~1.4-2x slower.
+# divided by max(n_large, n) rows, so its search arrays do not exceed it.
+# The pixels gathered for a union search, |cols| x n cells, can be the
+# whole domain table, side^2 / 4 cells; listed cells (a group's candidates,
+# or survivors) are gathered _TILE_CELLS // n at a time, one tile's worth.
+# Survivors are scored once the next tile's would take them past that many
+# cells; a listed tile keeps at most a quarter of its cells, so a batch
+# holds at most a quarter of a tile's cells (n >= 4), or of one row's when
+# a row holds more. Larger tiles spread each call over more rows, but a
+# union search pays for the union of its rows' columns. On image B (2-core
+# Xeon, numpy 2.4, OpenBLAS 0.3.31) a sweep of 2^15 to 2^19 found none
+# faster than 2^17 beyond the noise, and 2^15 and 2^19 ran s=4, the
+# costliest size, ~1.4-2x slower.
 _TILE_CELLS = 1 << 17
 # The search skips a cell only when a lower bound on its exact error exceeds
 # ub, the least computed error of its row's candidates, plus n * _ERR_SLACK.
@@ -232,15 +232,10 @@ def _rho2_slack(n: int) -> float:
     return eps * (2.0 + eps) + 2.0 ** -22
 
 
-def _least_errors(small, large, cand, row_consts, col_consts, n) -> np.ndarray:
-    """Each row's least computed error over its domains cand[:, row], with the
-    bits the full search gives those cells."""
-    cross = np.empty(cand.shape)
-    for k, domains in enumerate(cand):
-        # integer times quarter-integer products: exact in any order
-        np.einsum("ij,ij->i", small, large[domains], out=cross[k])
-    col_consts = tuple(c[cand] for c in col_consts)
-    return _collage_errors(cross, row_consts, col_consts, n)[2].min(axis=0)
+def _entries(domains, aq, b_int) -> np.ndarray:
+    """FBC1 entries (domain, q_alpha, q_beta) from the winners' domains,
+    2 * alpha_q and beta_q."""
+    return np.column_stack((domains, np.rint((aq / 2.0 + 1.0) * 7.5), b_int + 255.0))
 
 
 def _search_columns(small, large, cols, row_consts, col_consts, n) -> np.ndarray:
@@ -253,32 +248,36 @@ def _search_columns(small, large, cols, row_consts, col_consts, n) -> np.ndarray
     aq, b_int, err = _collage_errors(cross, row_consts, col_consts, n)
     best = err.argmin(axis=1)
     at = np.arange(len(small)), best
-    q_alpha = np.rint((aq[at] / 2.0 + 1.0) * 7.5)
-    return np.column_stack((cols[best], q_alpha, b_int[at] + 255.0))
+    return _entries(cols[best], aq[at], b_int[at])
 
 
-def _search_cells(small, large, rows, domains, row_consts, col_consts, n):
-    """The listed rows and each one's best (domain, q_alpha, q_beta) over its
-    own cells, ties to the lowest index: cell k pairs small row rows[k]
-    (ascending) with domain domains[k], and each row's domains are distinct."""
+def _cell_errors(small, large, rows, domains, row_consts, col_consts, n):
+    """(2 * alpha_q, beta_q, err) of the listed cells, with the bits of the
+    full error matrix: cell k pairs small row rows[k] with domain domains[k]."""
     cross = np.empty(len(rows))
     step = max(1, _TILE_CELLS // n)  # cells per gather, as in a tile
     for k in range(0, len(rows), step):
         cell = slice(k, k + step)
         # integer times quarter-integer products: exact in any order
         np.einsum("ij,ij->i", small[rows[cell]], large[domains[cell]], out=cross[cell])
-    aq, b_int, err = _collage_errors(
+    return _collage_errors(
         cross, tuple(c[rows] for c in row_consts),
         tuple(c[domains] for c in col_consts), n,
     )
+
+
+def _search_cells(small, large, rows, domains, row_consts, col_consts, n):
+    """The listed rows and each one's best (domain, q_alpha, q_beta) over its
+    own cells, ties to the lowest index: cell k pairs small row rows[k]
+    (ascending) with domain domains[k], and each row's domains are distinct."""
+    aq, b_int, err = _cell_errors(small, large, rows, domains, row_consts, col_consts, n)
     first = np.flatnonzero(np.diff(rows, prepend=-1))
     per_row = np.diff(first, append=len(rows))
     least = np.minimum.reduceat(err, first)
     tied = np.where(err == np.repeat(least, per_row), domains, len(large))
     best = np.minimum.reduceat(tied, first)
     win = np.flatnonzero(tied == np.repeat(best, per_row))
-    q_alpha = np.rint((aq[win] / 2.0 + 1.0) * 7.5)
-    return rows[first], np.column_stack((best, q_alpha, b_int[win] + 255.0))
+    return rows[first], _entries(best, aq[win], b_int[win])
 
 
 def fbc_encode(img: PixelImage, params: FbcParams) -> FbcCode:
@@ -337,7 +336,6 @@ def fbc_encode(img: PixelImage, params: FbcParams) -> FbcCode:
     n_small, n_large = len(small), len(large)
     rows = min(n_small, max(1, _TILE_CELLS // max(n_large, n)))
     batch = _TILE_CELLS // n
-    keep = np.empty(n_large, dtype=bool)
     # every row keeps its winner; were one to keep nothing, its -1 would
     # fail FbcCode's checks rather than pass as a code
     found = np.full((n_small, 3), -1, dtype=np.int32)
@@ -369,12 +367,11 @@ def fbc_encode(img: PixelImage, params: FbcParams) -> FbcCode:
             j0 = min(int(np.searchsorted(sd_large, 0.5 * widest)), n_large - 1)
             wide = band[tile, j0:]
             cand.append(np.stack([wide.argmax(axis=1), wide.argmin(axis=1)]) + j0)
-        # each row's ub from its own candidates: the bits of a tile alone
-        ub = _least_errors(
-            small[group], large, by_sd[np.concatenate(cand, axis=1)],
-            tuple(c[group] for c in row_consts), col_consts, n,
-        )
-        ub += n * _ERR_SLACK
+        # each row's ub from its own two candidates, listed candidate-major
+        cand_rows = np.tile(np.arange(group.start, group.stop), 2)
+        cand = by_sd[np.concatenate(cand, axis=1)].ravel()
+        err = _cell_errors(small, large, cand_rows, cand, row_consts, col_consts, n)[2]
+        ub = err.reshape(2, -1).min(axis=0) + n * _ERR_SLACK
         # every error is at least Sss * (1 - rho^2): keep rho^2 >= floor, a
         # tile at a time while its band is in cache
         with np.errstate(divide="ignore"):
@@ -387,9 +384,8 @@ def fbc_encode(img: PixelImage, params: FbcParams) -> FbcCode:
             if 4 * count > mask.size:
                 if listed:  # rows reach the searches in spread order
                     flush()
-                keep[by_sd] = mask.any(axis=0)
                 found[at] = _search_columns(
-                    small[at], large, np.flatnonzero(keep),
+                    small[at], large, np.sort(by_sd[mask.any(axis=0)]),
                     tuple(c[at, None] for c in row_consts), col_consts, n,
                 )
             else:

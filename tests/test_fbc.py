@@ -281,14 +281,12 @@ class TestEncode:
 
     @pytest.mark.parametrize("name, s", PRUNING_CASES.values(), ids=PRUNING_CASES)
     def test_pruning_never_changes_the_answer(self, monkeypatch, name, s):
-        # an infinite ub makes every floor -inf, so every tile searches
-        # every domain
+        # an infinite margin makes every ub infinite and every floor -inf,
+        # so every tile searches every domain
         img = adversarial_image(name, 256)
         params = fbc.FbcParams(s)
         default = fbc.serialize(fbc.fbc_encode(img, params))
-        monkeypatch.setattr(
-            fbc, "_least_errors", lambda small, *_: np.full(len(small), np.inf)
-        )
+        monkeypatch.setattr(fbc, "_ERR_SLACK", np.inf)
         assert fbc.serialize(fbc.fbc_encode(img, params)) == default
 
     @pytest.mark.parametrize("name, s", [("two-level", 4), ("mixed", 2), ("mixed", 4)])

@@ -33,6 +33,20 @@ VV_DEFAULT_DIGESTS = {
     256: "180aa629461a17198d0d7bf3ba8c2d01b7ca63e13cafbe56c1df425efb58344e",
     1024: "fae035389490a1f65f20e2f555e150795a89d222c717125dd28fed9abc3eed95",
 }
+# SHA-256 of vvar.serialize(vvar.encode(image, V)) at the library defaults,
+# keyed by (image name, V), "b" being image B and the others
+# adversarial_image(name, 256): streams on which Lloyd's exact-tie rescores
+# and empty-cluster repairs fire. The b and dither streams differ under the
+# Nehalem and Katmai kernels, whose full pass rounds some scores otherwise
+VV_TIE_DIGESTS = {
+    ("b", 1024): "e5172a3d09409c793bebcfe709ec719312796cbc15b7935ed6faac495b235a75",
+    ("dither", 256): "568d54a6241240b0d725978a7c72da3189ee39321e8ffd951321622b94812ce9",
+    ("dither", 1024): "471848213561cf8dcc89b837b846372608266aa119315232ffe5acb361f48984",
+    ("two-level", 256): "d126bc71f2bbaa15ef683e80c3fc002e462b3623a5495aedaaf365c0f851ae54",
+    ("two-level", 1024): "ae1d336d4fa8275a855653c62f72990a136dceaafa59aa12f55252b53201af5d",
+    ("gradient", 256): "4d24014cc6df44b0cfa6d573934310faae44159ff905613dee94b4b863ec8035",
+    ("gradient", 1024): "c07e43ef273305a6b2ba61ef42cce83af3372b49b537374fdb4914908ab02b02",
+}
 # SHA-256 of fbc.serialize(fbc.fbc_encode(image, FbcParams(s))), keyed by
 # (image name, small size s)
 FBC_DIGESTS = {
@@ -132,6 +146,13 @@ def test_vvc1_digest(vv_codes, v):
 def test_vvc1_default_options_digest(image_a, v):
     code = vvar.encode(image_a, v)
     assert sha256(vvar.serialize(code)) == VV_DEFAULT_DIGESTS[v]
+
+
+@pytest.mark.parametrize("name,v", sorted(VV_TIE_DIGESTS))
+def test_vvc1_tie_digest(image_b, name, v):
+    img = image_b if name == "b" else adversarial_image(name, 256)
+    code = vvar.encode(img, v)
+    assert sha256(vvar.serialize(code)) == VV_TIE_DIGESTS[(name, v)]
 
 
 @pytest.mark.parametrize("v,depth", sorted(DECODE_DIGESTS))
