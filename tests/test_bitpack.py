@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from vvcodec import bitpack, vvar
+from vvcodec import bitpack, fbc, vvar
 from vvcodec.imaging import FormatError
 
 
@@ -86,15 +86,39 @@ class TestErrors:
         with pytest.raises(FormatError):
             bitpack.unpack(bytes(blob), 3, [5])
 
-    @pytest.mark.parametrize("value", [-1, 32])
-    def test_value_must_fit(self, value):
-        with pytest.raises(ValueError):
-            bitpack.pack(np.array([[value]]), [5])
 
-    def test_field_count(self):
-        with pytest.raises(ValueError, match=r"^fields must have shape \(n, 2\)$"):
-            bitpack.pack(np.zeros((3, 1), np.int64), [4, 4])
+class TestFieldExtremes:
+    """`pack` trusts the codes to keep every field inside its width; a code
+    holding each field's extreme values must round-trip at the stated size."""
 
-    def test_width_limit(self):
-        with pytest.raises(ValueError):
-            bitpack.pack(np.zeros((1, 1), np.int64), [33])
+    @pytest.mark.parametrize(
+        "v", [1, 2, 3, 4, 5, 16, 17, 255, 256, 257, 1023, 1024, 1025]
+    )
+    @pytest.mark.parametrize("extreme", ["max", "min"])
+    def test_vvc1(self, v, extreme):
+        n0 = vvar.compute_n0(v, vvar.MAX_DEPTH)
+        depth = n0 + 2  # the least depth that holds V
+        label, leaf = (v, 255) if extreme == "max" else (1, 0)
+        code = vvar.VVarCode(
+            depth=depth,
+            v=v,
+            first_labels=np.full(4 ** (n0 + 1), label, np.int32),
+            level_labels=[],
+            leaf_values=np.full(4 * v, leaf, np.uint8),
+        )
+        blob = vvar.serialize(code)
+        assert len(blob) == vvar.HEADER_BYTES + vvar.payload_size(v, depth)
+        assert vvar.deserialize(blob) == code
+
+    @pytest.mark.parametrize("depth,s", [(2, 2), (5, 2), (9, 4)])
+    @pytest.mark.parametrize("extreme", ["max", "min"])
+    def test_fbc1(self, depth, s, extreme):
+        n_small = (2 ** depth // s) ** 2
+        n_large = n_small // 4
+        entry = [n_large - 1, 15, 510] if extreme == "max" else [0, 0, 0]
+        code = fbc.FbcCode(depth, s, np.tile(np.int32(entry), (n_small, 1)))
+        blob = fbc.serialize(code)
+        assert len(blob) == fbc.HEADER_BYTES + (fbc.fbc_payload_bits(code) + 7) // 8
+        back = fbc.deserialize(blob)
+        assert (back.depth, back.small_size) == (depth, s)
+        assert np.array_equal(back.entries, code.entries)

@@ -33,6 +33,16 @@ VV_DEFAULT_DIGESTS = {
     256: "180aa629461a17198d0d7bf3ba8c2d01b7ca63e13cafbe56c1df425efb58344e",
     1024: "fae035389490a1f65f20e2f555e150795a89d222c717125dd28fed9abc3eed95",
 }
+# SHA-256 of vvar.serialize(vvar.encode(255 - image A, V)) at the library
+# defaults: the benchmark's vv-encode ladder at an odd seed
+VV_INVERTED_A_DIGESTS = {
+    1: "e1429cbf84a0c36c138a0acc027bc5c781e5fd0a4ed2ce31fa4aa4e42db4480f",
+    4: "c476b6f4d05c2e8c555b4afa798ebefda48623c346556119820b351c37909bdc",
+    16: "e4d7c818e70a436034eca5eaf73e4edc5e8fb466a2c59092320f210411a2feb4",
+    64: "c4af2cab87db21c4589c9e5e4f12701660e69f54d267134af849b512ee2b614b",
+    256: "175bb0a51eb66a73a5d2c7b9e23a178ee89746a15dbb629d80330d19359bd25c",
+    1024: "0387ceefbc199b7f49bd9679e955346b9bf6cb7bb7113396a7bb18a7caa7de82",
+}
 # SHA-256 of vvar.serialize(vvar.encode(image, V)) at the library defaults,
 # keyed by (image name, V), "b" being image B and the others
 # adversarial_image(name, 256): streams on which Lloyd's exact-tie rescores
@@ -111,6 +121,19 @@ FBC_DECODE_DIGESTS = {
     8: "bb49f26b95c03035e7b2d49639e5fdc6fa2bbc8c456b25be783f9dc398b8f5da",
     16: "88f103513914ee681168ccfa51e77b42b50e349db485102c0380e558b958c962",
 }
+# SHA-256 of fbc.serialize(fbc.fbc_encode(255 - image B, FbcParams(s))) and
+# of save_pgm of its decode at the default 10 iterations, keyed by s: the
+# benchmark's fbc workload at an odd seed
+FBC_INVERTED_B_DIGESTS = {
+    4: "1b431859f74f363aebf98656ac052b1bf1f36655629a0727d99976ece476514b",
+    8: "097c7a1717a537c7c09296573a79300e4ff03294d182d384bd537c4cf8772a9b",
+    16: "90fe2d91cf20cda61aec87817d6b9adfaf10f75b44f50ad1157571f1f531e7bd",
+}
+FBC_INVERTED_B_DECODE_DIGESTS = {
+    4: "0be34b020235de02794bfeb3d14a291b23176594d40e95ceb9046e3429e75e91",
+    8: "f70c0ef2ea9489633f16947231a682d1ea122bb265ea2995190641de2016ae33",
+    16: "8d683a9a41546a8eac7bf2c37eaac85afa561ff87d8b69cdeebe819a0bca60af",
+}
 # SHA-256 of the stdout of `fractal DEMO --n N`, keyed by (DEMO, N); the
 # code-tree demo stores 4 levels
 FRACTAL_DIGESTS = {
@@ -148,6 +171,12 @@ def test_vvc1_default_options_digest(image_a, v):
     assert sha256(vvar.serialize(code)) == VV_DEFAULT_DIGESTS[v]
 
 
+@pytest.mark.parametrize("v", sorted(VV_INVERTED_A_DIGESTS))
+def test_vvc1_inverted_a_digest(image_a, v):
+    code = vvar.encode(PixelImage(255 - image_a.data), v)
+    assert sha256(vvar.serialize(code)) == VV_INVERTED_A_DIGESTS[v]
+
+
 @pytest.mark.parametrize("name,v", sorted(VV_TIE_DIGESTS))
 def test_vvc1_tie_digest(image_b, name, v):
     img = image_b if name == "b" else adversarial_image(name, 256)
@@ -181,6 +210,23 @@ def test_fbc1_digest(fbc_golden_codes):
 def test_fbc1_decode_digest(fbc_golden_codes, s):
     image = fbc.fbc_decode(fbc_golden_codes[("b", s)])
     assert sha256(save_pgm(image)) == FBC_DECODE_DIGESTS[s]
+
+
+@pytest.fixture(scope="module")
+def fbc_inverted_b_codes(image_b):
+    img = PixelImage(255 - image_b.data)
+    return {s: fbc.fbc_encode(img, fbc.FbcParams(s)) for s in FBC_INVERTED_B_DIGESTS}
+
+
+def test_fbc1_inverted_b_digest(fbc_inverted_b_codes):
+    got = {s: sha256(fbc.serialize(code)) for s, code in fbc_inverted_b_codes.items()}
+    assert got == FBC_INVERTED_B_DIGESTS
+
+
+@pytest.mark.parametrize("s", sorted(FBC_INVERTED_B_DECODE_DIGESTS))
+def test_fbc1_inverted_b_decode_digest(fbc_inverted_b_codes, s):
+    image = fbc.fbc_decode(fbc_inverted_b_codes[s])
+    assert sha256(save_pgm(image)) == FBC_INVERTED_B_DECODE_DIGESTS[s]
 
 
 def test_fbc1_adversarial_digest(image_b):
